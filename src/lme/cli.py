@@ -13,8 +13,13 @@ Matrices live in JSON files {"rows": r, "cols": c, "data": [[[re, im], ...]]}
 row per line and complex tokens such as ``1+2j`` is accepted on input.
 
 Exit codes: 0 success/consistent, 1 I/O or parse error, 2 hypothesis
-violated, 3 inconsistent, 4 verification mismatch.  The environment variable
-LME_DEFAULT_TOL overrides every tolerance default; explicit flags win.
+violated, 3 inconsistent, 4 verification mismatch.
+
+solve and the named forms take --tol-zero, --tol-cluster, --tol-res and
+--tol-rank; verify and diagonalize take only --tol-zero and --tol-cluster,
+the two they apply.  A report echoes the tolerances its subcommand used.
+The environment variable LME_DEFAULT_TOL overrides every tolerance default;
+explicit flags win.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import replace
 
 import numpy as np
 
@@ -36,7 +41,7 @@ from .errors import (
     OracleMismatchError,
 )
 from .instances import random_equation_instance
-from .matcore import as_matrix, fro, is_normal
+from .matcore import as_matrix
 from .simdiag import induced_pair_without_diagonalizer, simultaneous_diagonalizer, validate_family
 from .tolerances import TOL_CLUSTER, TOL_RANK, TOL_RES, TOL_ZERO
 
@@ -53,23 +58,20 @@ _NAMED_FORMS = ("sylvester", "stein", "clyap", "dlyap")
 # matrix file format
 
 def matrix_payload(m: np.ndarray) -> dict:
+    z = np.asarray(m, dtype=complex)
     return {
-        "rows": int(m.shape[0]),
-        "cols": int(m.shape[1]),
-        "data": [[[float(z.real), float(z.imag)] for z in row] for row in m],
+        "rows": int(z.shape[0]),
+        "cols": int(z.shape[1]),
+        "data": np.stack([z.real, z.imag], -1).tolist(),
     }
 
 
 def payload_matrix(obj: dict) -> np.ndarray:
-    rows, cols, data = int(obj["rows"]), int(obj["cols"]), obj["data"]
-    if len(data) != rows or any(len(r) != cols for r in data):
+    rows, cols = int(obj["rows"]), int(obj["cols"])
+    data = np.asarray(obj["data"], dtype=float)
+    if data.shape != (rows, cols, 2):
         raise ValueError("declared shape does not match data")
-    out = np.empty((rows, cols), dtype=complex)
-    for i, row in enumerate(data):
-        for j, entry in enumerate(row):
-            re, im = entry
-            out[i, j] = complex(re, im)
-    return as_matrix(out)
+    return as_matrix(data[..., 0] + 1j * data[..., 1])
 
 
 def parse_matrix_text(text: str) -> np.ndarray:
@@ -106,32 +108,20 @@ def write_matrix(path: str, m: np.ndarray) -> None:
         fh.write(dump_matrix(m))
 
 
-# ---------------------------------------------------------------------------
-# reports
+# what reading the input files can raise (json.JSONDecodeError is a ValueError)
+_INPUT_ERRORS = (OSError, ValueError, KeyError, TypeError, LmeError)
 
-@dataclass
-class SolveReport:
-    consistent: bool
-    dimension: int
-    x_hat: np.ndarray | None
-    basis: list[np.ndarray]
-    residuals: dict[str, float]
-    diagnostics: list[str]
-    equivalence_checks: dict[str, bool] | None
-    extras: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        out = {
-            "consistent": self.consistent,
-            "dimension": self.dimension,
-            "x_hat": matrix_payload(self.x_hat) if self.x_hat is not None else None,
-            "basis": [matrix_payload(b) for b in self.basis],
-            "residuals": {k: float(v) for k, v in self.residuals.items()},
-            "diagnostics": list(self.diagnostics),
-            "equivalence_checks": self.equivalence_checks,
-        }
-        out.update(self.extras)
-        return out
+def _load_spec(args):
+    """Read every input file once.  Returns the equation spec and, for a
+    named form, its own A and B (B is None for the Lyapunov forms)."""
+    if args.command in _NAMED_FORMS:
+        a = load_matrix(args.a)
+        b = load_matrix(args.b) if args.command in ("sylvester", "stein") else None
+        return equations.named_form_spec(args.command, a, load_matrix(args.c), b), a, b
+    a_list = [load_matrix(p) for p in args.a]
+    b_list = [load_matrix(p) for p in args.b]
+    return equations.equation_spec(a_list, b_list, load_matrix(args.c)), None, None
 
 
 def _emit(report: dict, out_path: str | None) -> None:
@@ -146,6 +136,15 @@ def _emit(report: dict, out_path: str | None) -> None:
 # ---------------------------------------------------------------------------
 # argument plumbing
 
+# flag name -> (default, help); each subcommand registers the ones it reads
+_TOLERANCES = {
+    "tol_zero": (TOL_ZERO, "zero threshold"),
+    "tol_cluster": (TOL_CLUSTER, "eigenvalue clustering gap"),
+    "tol_res": (TOL_RES, "residual acceptance"),
+    "tol_rank": (TOL_RANK, "rank threshold"),
+}
+
+
 def _tol_default(explicit: float | None, fallback: float) -> float:
     if explicit is not None:
         return explicit
@@ -155,24 +154,20 @@ def _tol_default(explicit: float | None, fallback: float) -> float:
     return fallback
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--tol-zero", type=float, default=None,
-                        help=f"zero threshold (default {TOL_ZERO})")
-    parser.add_argument("--tol-cluster", type=float, default=None,
-                        help=f"eigenvalue clustering gap (default {TOL_CLUSTER})")
-    parser.add_argument("--tol-res", type=float, default=None,
-                        help=f"residual acceptance (default {TOL_RES})")
-    parser.add_argument("--tol-rank", type=float, default=None,
-                        help=f"rank threshold (default {TOL_RANK})")
+def _add_common(parser: argparse.ArgumentParser, *tolerances: str) -> None:
+    for name in tolerances:
+        default, blurb = _TOLERANCES[name]
+        parser.add_argument("--" + name.replace("_", "-"), type=float, default=None,
+                            help=f"{blurb} (default {default})")
     parser.add_argument("--out", default=None, help="write the JSON report here")
 
 
 def _resolve_tols(args) -> dict[str, float]:
+    """The tolerances the subcommand registered, in the order of _TOLERANCES."""
     return {
-        "tol_zero": _tol_default(args.tol_zero, TOL_ZERO),
-        "tol_cluster": _tol_default(args.tol_cluster, TOL_CLUSTER),
-        "tol_res": _tol_default(args.tol_res, TOL_RES),
-        "tol_rank": _tol_default(args.tol_rank, TOL_RANK),
+        name: _tol_default(getattr(args, name), default)
+        for name, (default, _) in _TOLERANCES.items()
+        if hasattr(args, name)
     }
 
 
@@ -183,28 +178,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_solve = sub.add_parser("solve", help="general equation sum_j A_j X B_j = C")
-    p_solve.add_argument("--a", action="append", required=True, metavar="FILE")
-    p_solve.add_argument("--b", action="append", required=True, metavar="FILE")
-    p_solve.add_argument("--c", required=True, metavar="FILE")
-    p_solve.add_argument("--force-oracle", action="store_true",
-                         help="fall back to the brute-force oracle when the "
-                              "structural hypotheses fail")
-    _add_common(p_solve)
-
     for name, blurb in (
+        ("solve", "general equation sum_j A_j X B_j = C"),
         ("sylvester", "A X + X B = C"),
         ("stein", "A X B - X = C"),
         ("clyap", "A* X + X A = C (A normal, C Hermitian)"),
         ("dlyap", "A* X A - X = C (A normal, C Hermitian)"),
     ):
         p = sub.add_parser(name, help=blurb)
-        p.add_argument("--a", required=True, metavar="FILE")
-        if name in ("sylvester", "stein"):
-            p.add_argument("--b", required=True, metavar="FILE")
+        files = "append" if name == "solve" else "store"
+        p.add_argument("--a", action=files, required=True, metavar="FILE")
+        if name not in ("clyap", "dlyap"):
+            p.add_argument("--b", action=files, required=True, metavar="FILE")
         p.add_argument("--c", required=True, metavar="FILE")
-        p.add_argument("--force-oracle", action="store_true")
-        _add_common(p)
+        p.add_argument("--force-oracle", action="store_true",
+                       help="fall back to the brute-force oracle when the "
+                            "structural hypotheses fail")
+        _add_common(p, *_TOLERANCES)
 
     p_verify = sub.add_parser("verify", help="referee the solver against the oracle")
     p_verify.add_argument("--a", action="append", metavar="FILE")
@@ -216,159 +206,98 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--inject-fault", action="store_true",
                           help="corrupt a basis matrix first (negative control)")
-    _add_common(p_verify)
+    _add_common(p_verify, "tol_zero", "tol_cluster")
 
     p_diag = sub.add_parser("diagonalize", help="joint diagonalizer and induced vectors")
     p_diag.add_argument("matrices", nargs="+", metavar="FILE")
     p_diag.add_argument("--pair", action="store_true",
                         help="with exactly two inputs, also recover the induced "
                              "pair from eigenvalues alone")
-    _add_common(p_diag)
+    _add_common(p_diag, "tol_zero", "tol_cluster")
     return parser
 
 
 # ---------------------------------------------------------------------------
 # shared solve/report path
 
-def _build_spec(args) -> equations.EquationSpec:
-    command = args.command
-    a_mat = load_matrix(args.a) if isinstance(args.a, str) else [load_matrix(p) for p in args.a]
-    c_mat = load_matrix(args.c)
-    if command == "sylvester":
-        n = a_mat.shape[0]
-        b_mat = load_matrix(args.b)
-        return equations.equation_spec([a_mat, np.eye(n)], [np.eye(n), b_mat], c_mat)
-    if command == "stein":
-        n = a_mat.shape[0]
-        b_mat = load_matrix(args.b)
-        return equations.equation_spec([a_mat, -np.eye(n)], [b_mat, np.eye(n)], c_mat)
-    if command == "clyap":
-        n = a_mat.shape[0]
-        return equations.equation_spec(
-            [a_mat.conj().T, np.eye(n)], [np.eye(n), a_mat], c_mat
-        )
-    if command == "dlyap":
-        n = a_mat.shape[0]
-        return equations.equation_spec(
-            [a_mat.conj().T, -np.eye(n)], [a_mat, np.eye(n)], c_mat
-        )
-    return equations.equation_spec(a_mat, args_b_matrices(args), c_mat)
-
-
-def args_b_matrices(args) -> list[np.ndarray]:
-    return [load_matrix(p) for p in args.b]
-
-
-def _named_gate(command: str, a_mat: np.ndarray, c_mat: np.ndarray) -> None:
-    """Raise the Lyapunov-specific precondition errors before generic solving."""
-    if command in ("clyap", "dlyap"):
-        if not is_normal(a_mat):
-            raise NotNormalError("A must be a normal matrix")
-        if fro(c_mat - c_mat.conj().T) > 1e-10 * max(1.0, fro(c_mat)):
-            raise NotHermitianRhsError("C must be Hermitian")
-
-
-def _formula_extras(command: str, a_mat, b_mat, tol_zero: float) -> dict:
-    if command not in _NAMED_FORMS:
-        return {}
-    count = equations.named_form_pair_count(
-        command, a_mat, b_mat if command in ("sylvester", "stein") else None, tol_zero
-    )
-    return {"formula_count": count}
-
-
-def _report_from_result(spec, result, evidence, tols) -> SolveReport:
+def _structured_report(spec, result, evidence, tols) -> dict:
+    homogeneous = replace(spec, rhs=np.zeros_like(spec.rhs))
     res_basis = max(
-        (equations.equation_residual(
-            equations.EquationSpec(spec.a_list, spec.b_list, np.zeros_like(spec.rhs)), b
-        ) for b in result.basis),
-        default=0.0,
+        (equations.equation_residual(homogeneous, b) for b in result.basis), default=0.0
     )
-    residuals = {
-        "x_hat_equation": evidence.equation_residual,
-        "x_hat_standard": evidence.standard_residual,
-        "basis_homogeneous_max": res_basis,
-    }
-    diagnostics = list(evidence.diagnostics)
-    extras = {
+    return {
+        "consistent": result.consistent,
+        "dimension": result.dimension,
+        "x_hat": matrix_payload(result.x_hat),
+        "basis": [matrix_payload(b) for b in result.basis],
+        "residuals": {
+            "x_hat_equation": evidence.equation_residual,
+            "x_hat_standard": evidence.standard_residual,
+            "basis_homogeneous_max": res_basis,
+        },
+        "diagnostics": list(evidence.diagnostics),
+        "equivalence_checks": evidence.flags(),
         "witness_row": result.witness_r,
         "normal_certificate": result.normal_certificate,
         "zero_cells": [[int(r), int(c)] for r, c in result.relevant.cells],
         "mode": "structured",
         "tolerances": tols,
     }
-    return SolveReport(
-        consistent=result.consistent,
-        dimension=result.dimension,
-        x_hat=result.x_hat,
-        basis=list(result.basis),
-        residuals=residuals,
-        diagnostics=diagnostics,
-        equivalence_checks=evidence.flags(),
-        extras=extras,
-    )
 
 
-def _oracle_report(spec, tols, reason: str, extras: dict) -> tuple[SolveReport, int]:
-    system = oracle.vectorize(spec)
-    sol = oracle.oracle_solve(system, tols["tol_rank"])
+def _oracle_report(spec, tols, reason: str) -> dict:
+    sol = oracle.oracle_solve(oracle.vectorize(spec), tols["tol_rank"])
     warning = (
         "WARNING: structural hypotheses violated "
         f"({reason}); falling back to the brute-force vectorized oracle. "
         "Structure-based guarantees do not apply to this answer."
     )
-    residuals = {"oracle_system": sol.residual}
-    report = SolveReport(
-        consistent=sol.consistent,
-        dimension=sol.dimension,
-        x_hat=sol.min_norm_solution,
-        basis=list(sol.nullspace),
-        residuals=residuals,
-        diagnostics=[warning],
-        equivalence_checks=None,
-        extras={"mode": "oracle", "tolerances": tols, **extras},
-    )
-    code = EXIT_OK if sol.consistent else EXIT_INCONSISTENT
-    return report, code
+    x = sol.min_norm_solution
+    return {
+        "consistent": sol.consistent,
+        "dimension": sol.dimension,
+        "x_hat": matrix_payload(x) if x is not None else None,
+        "basis": [matrix_payload(b) for b in sol.nullspace],
+        "residuals": {"oracle_system": sol.residual},
+        "diagnostics": [warning],
+        "equivalence_checks": None,
+        "mode": "oracle",
+        "tolerances": tols,
+    }
 
 
 def _cmd_equation(args) -> int:
     tols = _resolve_tols(args)
     command = args.command
     try:
-        a_first = load_matrix(args.a if isinstance(args.a, str) else args.a[0])
-        b_first = (
-            load_matrix(args.b) if command in ("sylvester", "stein") else None
-        )
-        spec = _build_spec(args)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError, LmeError) as exc:
+        spec, a_mat, b_mat = _load_spec(args)
+    except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    extras = _formula_extras(command, a_first, b_first, tols["tol_zero"])
-    try:
-        _named_gate(command, a_first, load_matrix(args.c))
-        verdict, evidence = equations.check_consistent(
-            spec,
-            tol_cluster=tols["tol_cluster"],
-            tol_zero=tols["tol_zero"],
-            tol_res=tols["tol_res"],
-            tol_rank=tols["tol_rank"],
+    extras = {}
+    if command in _NAMED_FORMS:
+        extras["formula_count"] = equations.named_form_pair_count(
+            command, a_mat, b_mat, tols["tol_zero"]
         )
+    try:
+        if command in ("clyap", "dlyap"):
+            equations.lyapunov_gate(a_mat, spec.rhs)
         result = equations.solve(
             spec, tol_cluster=tols["tol_cluster"], tol_zero=tols["tol_zero"]
         )
     except (HypothesisViolatedError, NotNormalError, NotHermitianRhsError) as exc:
         reason = f"{type(exc).__name__}: {exc}"
-        if getattr(args, "force_oracle", False):
-            report, code = _oracle_report(spec, tols, reason, extras)
-            print(report.diagnostics[0], file=sys.stderr)
-            _emit(report.to_dict(), args.out)
-            return code
-        print(f"hypothesis violated: {reason}", file=sys.stderr)
-        return EXIT_HYPOTHESIS
-    report = _report_from_result(spec, result, evidence, tols)
-    report.extras.update(extras)
-    _emit(report.to_dict(), args.out)
+        if not args.force_oracle:
+            print(f"hypothesis violated: {reason}", file=sys.stderr)
+            return EXIT_HYPOTHESIS
+        report = {**_oracle_report(spec, tols, reason), **extras}
+        print(report["diagnostics"][0], file=sys.stderr)
+        _emit(report, args.out)
+        return EXIT_OK if report["consistent"] else EXIT_INCONSISTENT
+    evidence = equations.consistency_evidence(
+        spec, result, tol_res=tols["tol_res"], tol_rank=tols["tol_rank"]
+    )
+    _emit({**_structured_report(spec, result, evidence, tols), **extras}, args.out)
     return EXIT_OK if result.consistent else EXIT_INCONSISTENT
 
 
@@ -395,12 +324,8 @@ def _cmd_verify(args) -> int:
             trials.append((f"trial {t}", spec))
     else:
         try:
-            spec = equations.equation_spec(
-                [load_matrix(p) for p in args.a],
-                [load_matrix(p) for p in args.b],
-                load_matrix(args.c),
-            )
-        except (OSError, ValueError, KeyError, json.JSONDecodeError, LmeError) as exc:
+            spec, _, _ = _load_spec(args)
+        except _INPUT_ERRORS as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_ERROR
         trials.append(("input files", spec))
@@ -415,32 +340,13 @@ def _cmd_verify(args) -> int:
             print(f"hypothesis violated on {label}: {exc}", file=sys.stderr)
             return EXIT_HYPOTHESIS
         if args.inject_fault and result.basis:
-            corrupted = list(result.basis)
-            corrupted[0] = corrupted[0] + 1e-3
-            result = equations.AffineSolutionSet(
-                consistent=result.consistent,
-                witness_r=result.witness_r,
-                x_hat=result.x_hat,
-                basis=tuple(corrupted),
-                dimension=result.dimension,
-                diagonalizer=result.diagonalizer,
-                normal_certificate=result.normal_certificate,
-                relevant=result.relevant,
-                star=result.star,
-            )
+            result = replace(result, basis=(result.basis[0] + 1e-3, *result.basis[1:]))
         system = oracle.vectorize(spec)
         try:
             oracle.compare(result, system)
         except OracleMismatchError as exc:
-            _emit(
-                {
-                    "agreement": False,
-                    "trial": label,
-                    "failures": exc.failures,
-                    "checked": checked,
-                },
-                args.out,
-            )
+            _emit({"agreement": False, "trial": label, "failures": exc.failures,
+                   "checked": checked}, args.out)
             return EXIT_MISMATCH
         checked += 1
     _emit({"agreement": True, "checked": checked, "tolerances": tols}, args.out)
@@ -458,7 +364,7 @@ def _cmd_diagonalize(args) -> int:
     tols = _resolve_tols(args)
     try:
         mats = [load_matrix(p) for p in args.matrices]
-    except (OSError, ValueError, KeyError, json.JSONDecodeError, LmeError) as exc:
+    except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     if args.pair and len(mats) != 2:

@@ -43,6 +43,7 @@ __all__ = [
     "x_hat",
     "solve",
     "check_consistent",
+    "consistency_evidence",
     "solve_standard",
     "solve_sylvester",
     "solve_continuous_lyapunov",
@@ -50,6 +51,8 @@ __all__ = [
     "solve_discrete_lyapunov",
     "uniqueness_report",
     "named_form_pair_count",
+    "named_form_spec",
+    "lyapunov_gate",
 ]
 
 
@@ -291,19 +294,17 @@ def _column_space_consistent(w: np.ndarray, c: np.ndarray, tol_rank: float) -> b
     return r_w == r_aug
 
 
-def check_consistent(
+def consistency_evidence(
     spec: EquationSpec,
-    tol_commute: float = TOL_COMMUTE,
-    tol_cluster: float = TOL_CLUSTER,
-    tol_zero: float = TOL_ZERO,
+    result: AffineSolutionSet,
     tol_res: float = TOL_RES,
     tol_rank: float = TOL_RANK,
-) -> tuple[bool, ConsistencyEvidence]:
-    """Consistency verdict plus all equivalent views evaluated independently:
-    the diagonal rule on the relevant matrix, the residual of the candidate
-    solution in the equation itself, a rank test on the attached standard
-    equation, and the candidate's residual in the standard equation."""
-    result = solve(spec, tol_commute, tol_cluster, tol_zero)
+) -> ConsistencyEvidence:
+    """All equivalent views of consistency for the result ``solve`` returned
+    on ``spec``, evaluated independently: the diagonal rule on the relevant
+    matrix, the residual of the candidate solution in the equation itself, a
+    rank test on the attached standard equation, and the candidate's residual
+    in the standard equation."""
     xh = result.x_hat
     res_eq = equation_residual(spec, xh)
     bound = tol_res * max(1.0, fro(spec.rhs))
@@ -321,7 +322,7 @@ def check_consistent(
             f"standard_rank={ev_std_rank}, standard_residual={ev_std_res}); "
             "this indicates numerical conditioning trouble, not a verdict"
         )
-    evidence = ConsistencyEvidence(
+    return ConsistencyEvidence(
         consistent=ev_diag,
         diagonal_rule=ev_diag,
         x_hat_solves_equation=ev_eq,
@@ -331,7 +332,20 @@ def check_consistent(
         standard_residual=res_std,
         diagnostics=tuple(diagnostics),
     )
-    return ev_diag, evidence
+
+
+def check_consistent(
+    spec: EquationSpec,
+    tol_commute: float = TOL_COMMUTE,
+    tol_cluster: float = TOL_CLUSTER,
+    tol_zero: float = TOL_ZERO,
+    tol_res: float = TOL_RES,
+    tol_rank: float = TOL_RANK,
+) -> tuple[bool, ConsistencyEvidence]:
+    """Consistency verdict plus its ``consistency_evidence``."""
+    result = solve(spec, tol_commute, tol_cluster, tol_zero)
+    evidence = consistency_evidence(spec, result, tol_res, tol_rank)
+    return evidence.consistent, evidence
 
 
 def solve_standard(spec: EquationSpec, **tol_kwargs) -> AffineSolutionSet:
@@ -339,29 +353,39 @@ def solve_standard(spec: EquationSpec, **tol_kwargs) -> AffineSolutionSet:
     return solve(standard_spec(spec), **tol_kwargs)
 
 
+def named_form_spec(kind: str, a, c, b=None) -> EquationSpec:
+    """The general-form data of a named equation: sylvester A X + X B = C,
+    stein A X B - X = C, clyap A* X + X A = C and dlyap A* X A - X = C.
+    Only the Lyapunov forms take no B.  No hypothesis is checked here;
+    ``lyapunov_gate`` checks the Lyapunov preconditions."""
+    a = require_square(as_matrix(a, "A"), "A")
+    if kind in ("clyap", "dlyap"):
+        a, b = a.conj().T, a
+    elif kind in ("sylvester", "stein"):
+        b = require_square(as_matrix(b, "B"), "B")
+    else:
+        raise ValueError(f"unknown named form {kind!r}")
+    eye = np.eye(a.shape[0])
+    if kind in ("sylvester", "clyap"):
+        return equation_spec([a, eye], [eye, b], c)
+    return equation_spec([a, -eye], [b, eye], c)
+
+
 def solve_sylvester(a, b, c, **tol_kwargs) -> AffineSolutionSet:
     """A X + X B = C for a commuting diagonalizable triple; the solution-set
     dimension equals the number of index pairs with a_r + b_s = 0."""
-    a = require_square(as_matrix(a, "A"), "A")
-    b = require_square(as_matrix(b, "B"), "B")
-    c = require_square(as_matrix(c, "C"), "C")
-    n = a.shape[0]
-    spec = equation_spec([a, np.eye(n)], [np.eye(n), b], c)
-    return solve(spec, **tol_kwargs)
+    return solve(named_form_spec("sylvester", a, c, b), **tol_kwargs)
 
 
 def solve_stein(a, b, c, **tol_kwargs) -> AffineSolutionSet:
     """A X B - X = C for a commuting diagonalizable triple; the solution-set
     dimension equals the number of index pairs with a_r b_s = 1."""
-    a = require_square(as_matrix(a, "A"), "A")
-    b = require_square(as_matrix(b, "B"), "B")
-    c = require_square(as_matrix(c, "C"), "C")
-    n = a.shape[0]
-    spec = equation_spec([a, -np.eye(n)], [b, np.eye(n)], c)
-    return solve(spec, **tol_kwargs)
+    return solve(named_form_spec("stein", a, c, b), **tol_kwargs)
 
 
-def _lyapunov_gate(a, c, tol_commute):
+def lyapunov_gate(a, c, tol_commute: float = TOL_COMMUTE):
+    """Raise unless A is normal and C Hermitian (the Lyapunov preconditions);
+    return both as validated square matrices."""
     a = require_square(as_matrix(a, "A"), "A")
     c = require_square(as_matrix(c, "C"), "C")
     if a.shape != c.shape:
@@ -380,8 +404,8 @@ def solve_continuous_lyapunov(a, c, tol_commute: float = TOL_COMMUTE, **tol_kwar
     the number of pairs with conj(a_r) + a_s = 0.  Whether every solution is
     normal is recorded in the result's ``normal_certificate``.
     """
-    a, c = _lyapunov_gate(a, c, tol_commute)
-    return solve_sylvester(a.conj().T, a, c, tol_commute=tol_commute, **tol_kwargs)
+    a, c = lyapunov_gate(a, c, tol_commute)
+    return solve(named_form_spec("clyap", a, c), tol_commute=tol_commute, **tol_kwargs)
 
 
 def solve_discrete_lyapunov(a, c, tol_commute: float = TOL_COMMUTE, **tol_kwargs) -> AffineSolutionSet:
@@ -391,8 +415,8 @@ def solve_discrete_lyapunov(a, c, tol_commute: float = TOL_COMMUTE, **tol_kwargs
     conj(a_r) a_s = 1; the normality of all solutions is recorded in
     ``normal_certificate``.
     """
-    a, c = _lyapunov_gate(a, c, tol_commute)
-    return solve_stein(a.conj().T, a, c, tol_commute=tol_commute, **tol_kwargs)
+    a, c = lyapunov_gate(a, c, tol_commute)
+    return solve(named_form_spec("dlyap", a, c), tol_commute=tol_commute, **tol_kwargs)
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,8 @@ import json
 import numpy as np
 import pytest
 
+import lme.cli
+import lme.equations
 from lme.cli import (
     EXIT_ERROR,
     EXIT_HYPOTHESIS,
@@ -95,14 +97,48 @@ class TestSolveCommand:
         assert all(v is True for v in report["equivalence_checks"].values())
         assert all(np.isfinite(v) for v in report["residuals"].values())
 
-    def test_malformed_file_exit(self, files, tmp_path):
-        write, _ = files
+    def test_malformed_file_exit(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
-        bad.write_text("not json at all {{{")
-        code = main([
-            "solve", "--a", str(bad), "--b", str(bad), "--c", str(bad),
-        ])
-        assert code == EXIT_ERROR
+        for payload in (
+            "not json at all {{{",
+            '{"rows": 1, "cols": 1, "data": 5}',
+            '{"rows": 1, "cols": 1, "data": [[["a", "b"]]]}',
+            '{"rows": 1, "cols": 1, "data": [[[1, null]]]}',
+            '{"rows": null, "cols": 1, "data": [[[1, 0]]]}',
+            '{"rows": 1, "cols": 1, "data": [[{"re": 1}]]}',
+            '{"rows": 2, "cols": 1, "data": [[[1, 0]], [[1, 0], [2, 0]]]}',
+        ):
+            bad.write_text(payload)
+            code = main([
+                "solve", "--a", str(bad), "--b", str(bad), "--c", str(bad),
+            ])
+            assert code == EXIT_ERROR, payload
+            assert capsys.readouterr().err.startswith("error:"), payload
+
+    def test_reads_each_file_once_and_solves_once(self, files, monkeypatch):
+        write, tmp = files
+        paths = [
+            "--a", write("a1.json", HOMOG_A),
+            "--a", write("a2.json", 2 * np.eye(3)),
+            "--b", write("b1.json", HOMOG_B),
+            "--b", write("b2.json", np.eye(3)),
+            "--c", write("c.json", np.zeros((3, 3))),
+        ]
+        calls = {"load_matrix": 0, "solve": 0}
+
+        def counted(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(lme.cli, "load_matrix")
+        counted(lme.equations, "solve")
+        assert main(["solve", *paths, "--out", str(tmp / "r.json")]) == EXIT_OK
+        assert calls == {"load_matrix": 5, "solve": 1}
 
     def test_inconsistent_exit(self, files):
         write, tmp = files
@@ -222,6 +258,52 @@ class TestNamedCommands:
         )
 
 
+def _similar(s, vec):
+    return s @ np.diag(np.asarray(vec, dtype=complex)) @ np.linalg.inv(s)
+
+
+# form -> (A, B or None, C), each a consistent instance
+_S = np.array([[2, 1, 0, 0], [0, 1, 1, 0], [1, 0, 1, 1], [0, 0, 1, 2]], dtype=complex)
+_U = np.linalg.qr(np.arange(16).reshape(4, 4) + np.eye(4) * 1j + 1)[0]
+NAMED_CASES = {
+    # a_0 + b_0 = 0 and a_1 + b_2 = 0, with c_0 = 0
+    "sylvester": (_similar(_S, [1, 2, 3, 4]), _similar(_S, [-1, 5, -2, 1]), _similar(_S, [0, 1, 2, 1])),
+    # a_0 b_0 = 1 and a_2 b_2 = 1, with c_0 = c_2 = 0
+    "stein": (_similar(_S, [1, 2, 0.5, 3]), _similar(_S, [1, 3, 2, 4]), _similar(_S, [0, 1, 0, 1])),
+    # normal A with conj(a_r) + a_r = 0 for r = 0, 1; Hermitian C with c_0 = c_1 = 0
+    "clyap": (_similar(_U, [1j, -1j, 2, 1 + 1j]), None, _similar(_U, [0, 0, 1, -2])),
+    # normal A with conj(a_r) a_s = 1 on the diagonal for r = 0, 1 and off it
+    # for (2, 3), (3, 2); Hermitian C with c_0 = c_1 = 0
+    "dlyap": (_similar(_U, [1, 1j, 2, 0.5]), None, _similar(_U, [0, 0, 1, 3])),
+}
+LIBRARY_SOLVERS = {
+    "sylvester": lambda a, b, c: lme.solve_sylvester(a, b, c),
+    "stein": lambda a, b, c: lme.solve_stein(a, b, c),
+    "clyap": lambda a, b, c: lme.solve_continuous_lyapunov(a, c),
+    "dlyap": lambda a, b, c: lme.solve_discrete_lyapunov(a, c),
+}
+
+
+@pytest.mark.parametrize("form", sorted(NAMED_CASES))
+def test_named_form_matches_library(files, form):
+    write, tmp = files
+    a, b, c = NAMED_CASES[form]
+    argv = [form, "--a", write("a.json", a)]
+    if b is not None:
+        argv += ["--b", write("b.json", b)]
+    out = tmp / "r.json"
+    assert main(argv + ["--c", write("c.json", c), "--out", str(out)]) == EXIT_OK
+    report = read_report(out)
+    result = LIBRARY_SOLVERS[form](a, b, c)
+    assert result.consistent and result.dimension > 0
+    assert report["mode"] == "structured"
+    assert report["consistent"] is result.consistent
+    assert report["dimension"] == result.dimension
+    np.testing.assert_allclose(payload_to_matrix(report["x_hat"]), result.x_hat, atol=1e-9)
+    assert report["formula_count"] == lme.named_form_pair_count(form, a, b)
+    assert report["formula_count"] == report["dimension"]
+
+
 class TestForceOracleOnSolve:
     def test_noncommuting_general_equation(self, files):
         write, tmp = files
@@ -277,6 +359,15 @@ class TestVerifyCommand:
         ])
         assert code == EXIT_MISMATCH
         assert read_report(out)["agreement"] is False
+
+    def test_only_read_tolerances(self, files, capsys):
+        _, tmp = files
+        with pytest.raises(SystemExit):
+            main(["verify", "--trials", "1", "--tol-rank", "0.9"])
+        capsys.readouterr()
+        out = tmp / "v.json"
+        assert main(["verify", "--trials", "1", "--out", str(out)]) == EXIT_OK
+        assert list(read_report(out)["tolerances"]) == ["tol_zero", "tol_cluster"]
 
     def test_missing_inputs(self):
         assert main(["verify"]) == EXIT_ERROR
