@@ -12,8 +12,9 @@ Matrices live in JSON files {"rows": r, "cols": c, "data": [[[re, im], ...]]}
 (row major, one [re, im] pair per entry); a plain-text alternative with one
 row per line and complex tokens such as ``1+2j`` is accepted on input.
 
-Exit codes: 0 success/consistent, 1 I/O or parse error, 2 hypothesis
-violated, 3 inconsistent, 4 verification mismatch.
+Exit codes: 0 success/consistent, 1 I/O, parse or usage error, 2 hypothesis
+violated, 3 inconsistent, 4 verification mismatch.  An error reading a
+matrix file names the file.
 
 solve and the named forms take --tol-zero, --tol-cluster, --tol-res and
 --tol-rank; verify and diagonalize take only --tol-zero and --tol-cluster,
@@ -112,16 +113,29 @@ def write_matrix(path: str, m: np.ndarray) -> None:
 _INPUT_ERRORS = (OSError, ValueError, KeyError, TypeError, LmeError)
 
 
+def _read(path: str) -> np.ndarray:
+    """``load_matrix``, with a failure re-raised as a ``ValueError`` whose
+    message starts with the path."""
+    try:
+        return load_matrix(path)
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing key {exc}") from exc
+    except OSError as exc:
+        raise ValueError(f"{path}: {exc.strerror or exc}") from exc
+    except _INPUT_ERRORS as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
 def _load_spec(args):
     """Read every input file once.  Returns the equation spec and, for a
     named form, its own A and B (B is None for the Lyapunov forms)."""
     if args.command in _NAMED_FORMS:
-        a = load_matrix(args.a)
-        b = load_matrix(args.b) if args.command in ("sylvester", "stein") else None
-        return equations.named_form_spec(args.command, a, load_matrix(args.c), b), a, b
-    a_list = [load_matrix(p) for p in args.a]
-    b_list = [load_matrix(p) for p in args.b]
-    return equations.equation_spec(a_list, b_list, load_matrix(args.c)), None, None
+        a = _read(args.a)
+        b = _read(args.b) if args.command in ("sylvester", "stein") else None
+        return equations.named_form_spec(args.command, a, _read(args.c), b), a, b
+    a_list = [_read(p) for p in args.a]
+    b_list = [_read(p) for p in args.b]
+    return equations.equation_spec(a_list, b_list, _read(args.c)), None, None
 
 
 def _emit(report: dict, out_path: str | None) -> None:
@@ -171,8 +185,17 @@ def _resolve_tols(args) -> dict[str, float]:
     }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit with EXIT_ERROR; argparse's own code, 2, is
+    EXIT_HYPOTHESIS here.  Subparsers inherit this class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lme",
         description="Solve linear matrix equations with commuting diagonalizable coefficients",
     )
@@ -363,7 +386,7 @@ def _complex_pair(z: complex) -> list[float]:
 def _cmd_diagonalize(args) -> int:
     tols = _resolve_tols(args)
     try:
-        mats = [load_matrix(p) for p in args.matrices]
+        mats = [_read(p) for p in args.matrices]
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -41,6 +41,17 @@ __all__ = [
 # singular regardless of the reconstruction residual.
 _RCOND_FLOOR = 1e-13
 
+# cluster_values sweeps along the direction e^{i} (angle 1 rad): the key of z
+# is Re(z e^{-i}).  The angle is generic on purpose: values on a lattice, such
+# as sums and products of Gaussian integers, share real or imaginary parts
+# exactly, and a sweep along either axis would hold whole columns of them in
+# one window.
+_SWEEP_ROTATION = complex(np.exp(-1j))
+# Widening of the sweep window, relative to gap + max|value|: it covers the
+# round-off in the projected keys and in abs(u - v), so that no pair that
+# passes the exact test falls outside the window.
+_SWEEP_SLACK = 16 * np.finfo(float).eps
+
 
 def as_matrix(value, name: str = "matrix") -> np.ndarray:
     """Coerce to a finite 2-D complex array."""
@@ -135,8 +146,21 @@ def canonical_sort_indices(values: np.ndarray, gap: float) -> list[int]:
 
 def cluster_values(values: np.ndarray, gap: float) -> list[list[int]]:
     """Group values whose pairwise distance is at most ``gap`` (transitive
-    closure), returning index clusters in canonical representative order."""
+    closure), returning index clusters in canonical representative order.
+
+    Each cluster lists its indices in ascending order.  Clusters are first
+    ordered by their lowest index and then sorted stably by
+    ``canonical_sort_indices`` of their means.
+
+    Two values within ``gap`` of each other are also within ``gap`` along
+    any unit direction, because a projection is 1-Lipschitz.  So the values
+    are sorted by their projection onto one fixed direction, and each is
+    compared only with its successors whose projection lies at most ``gap``
+    (widened by a few units of round-off) further on.  No linked pair is
+    missed, and the link test itself is the exact ``abs(u - v) <= gap``.
+    """
     n = len(values)
+    # union-find over positions in sweep order; by_key maps them to indices
     parent = list(range(n))
 
     def find(i):
@@ -145,17 +169,34 @@ def cluster_values(values: np.ndarray, gap: float) -> list[list[int]]:
             i = parent[i]
         return i
 
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(values[i] - values[j]) <= gap:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[rj] = ri
+    by_key = range(n)
+    if n > 1:
+        keys = (values * _SWEEP_ROTATION).real
+        by_key = keys.argsort(kind="stable")
+        keys = keys[by_key]
+        reach = gap + _SWEEP_SLACK * (gap + abs(values).max())
+        ends = keys.searchsorted(keys + reach, side="right").tolist()
+        zs = values[by_key].tolist()
+        for a in range(n):
+            za = zs[a]
+            ra = find(a)
+            for b in range(a + 1, ends[a]):
+                # b hanging directly under ra is in a's cluster already
+                if parent[b] != ra and abs(za - zs[b]) <= gap:
+                    rb = find(b)
+                    if rb != ra:
+                        parent[rb] = ra
+                    parent[b] = ra  # so that later scans skip b at once
+        by_key = by_key.tolist()
+    root = [0] * n
+    for p, i in enumerate(by_key):
+        root[i] = find(p)
     groups: dict[int, list[int]] = {}
     for i in range(n):
-        groups.setdefault(find(i), []).append(i)
+        groups.setdefault(root[i], []).append(i)
     clusters = list(groups.values())
-    reps = np.array([values[c].mean() for c in clusters])
+    # the mean of one value is that value
+    reps = np.array([values[c].mean() if len(c) > 1 else values[c[0]] for c in clusters])
     order = canonical_sort_indices(reps, gap)
     return [clusters[i] for i in order]
 

@@ -300,23 +300,17 @@ def induced_pair_without_diagonalizer(
 
     b_eigs = np.linalg.eigvals(bmat)
 
-    collisions: list[complex] = []
-    for r, lam_r in enumerate(reps):
-        for s_, lam_s in enumerate(reps):
-            if r == s_:
-                continue
-            for i in range(n):
-                for j in range(n):
-                    if i == j:
-                        continue
-                    collisions.append(
-                        (lam_s * b_eigs[i] - lam_r * b_eigs[j]) / (lam_r - lam_s)
-                    )
-    collision_set: list[complex] = []
-    if collisions:
-        arr = np.array(collisions)
-        for group in cluster_values(arr, tol_cluster * scale_b):
-            collision_set.append(complex(arr[group].mean()))
+    # (lam_s b_i - lam_r b_j) / (lam_r - lam_s) over r != s and i != j,
+    # flattened in (r, s, i, j) order
+    lam = np.array(reps, dtype=complex)
+    r_idx, s_idx = np.nonzero(~np.eye(len(reps), dtype=bool))
+    i_idx, j_idx = np.nonzero(~np.eye(n, dtype=bool))
+    lam_r, lam_s = lam[r_idx][:, None], lam[s_idx][:, None]
+    collisions = ((lam_s * b_eigs[i_idx] - lam_r * b_eigs[j_idx]) / (lam_r - lam_s)).ravel()
+    collision_set = [
+        complex(collisions[group].mean())
+        for group in cluster_values(collisions, tol_cluster * scale_b)
+    ]
     beta = 1.0 + max((abs(z) for z in collision_set), default=0.0)
 
     gap = tol_cluster * scale_b

@@ -107,13 +107,19 @@ class TestSolveCommand:
             '{"rows": null, "cols": 1, "data": [[[1, 0]]]}',
             '{"rows": 1, "cols": 1, "data": [[{"re": 1}]]}',
             '{"rows": 2, "cols": 1, "data": [[[1, 0]], [[1, 0], [2, 0]]]}',
+            '{"rows": 1, "cols": 1}',
         ):
             bad.write_text(payload)
             code = main([
                 "solve", "--a", str(bad), "--b", str(bad), "--c", str(bad),
             ])
             assert code == EXIT_ERROR, payload
-            assert capsys.readouterr().err.startswith("error:"), payload
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {bad}: "), payload
+        assert err == f"error: {bad}: missing key 'data'\n"
+        missing = tmp_path / "absent.json"
+        assert main(["diagonalize", str(missing)]) == EXIT_ERROR
+        assert capsys.readouterr().err == f"error: {missing}: No such file or directory\n"
 
     def test_reads_each_file_once_and_solves_once(self, files, monkeypatch):
         write, tmp = files
@@ -362,8 +368,12 @@ class TestVerifyCommand:
 
     def test_only_read_tolerances(self, files, capsys):
         _, tmp = files
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as excinfo:
             main(["verify", "--trials", "1", "--tol-rank", "0.9"])
+        assert excinfo.value.code == EXIT_ERROR
+        with pytest.raises(SystemExit) as excinfo:
+            main(["verify", "--help"])
+        assert excinfo.value.code == 0
         capsys.readouterr()
         out = tmp / "v.json"
         assert main(["verify", "--trials", "1", "--out", str(out)]) == EXIT_OK

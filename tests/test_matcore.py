@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lme.errors import DimensionMismatchError, EmptyListError, NonFiniteError, NonSquareError
 from lme.matcore import (
     Permutation,
+    canonical_sort_indices,
+    cluster_values,
     commutes,
     direct_sum,
     direct_sum_permutation,
@@ -218,3 +222,100 @@ class TestDirectSumPermutation:
     def test_empty(self):
         with pytest.raises(EmptyListError):
             direct_sum_permutation([])
+
+
+def reference_clusters(values, gap):
+    """The all-pairs union-find that cluster_values replaced, kept as the
+    reference its sweep must reproduce exactly."""
+    n = len(values)
+    parent = list(range(n))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i in range(n):
+        for j in range(i + 1, n):
+            if abs(values[i] - values[j]) <= gap:
+                ri, rj = find(i), find(j)
+                if ri != rj:
+                    parent[rj] = ri
+    groups = {}
+    for i in range(n):
+        groups.setdefault(find(i), []).append(i)
+    clusters = list(groups.values())
+    reps = np.array([values[c].mean() for c in clusters])
+    return [clusters[i] for i in canonical_sort_indices(reps, gap)]
+
+
+SWEEP = np.exp(1j)  # the direction cluster_values sweeps along
+GAPS = st.sampled_from([0.0, 1e-8, 0.25, 1.0])
+COORD = st.floats(-10, 10, allow_nan=False)
+
+
+@st.composite
+def lattice_points(draw):
+    """gap * (p + qi) on a small grid: exact duplicates, and neighbours
+    exactly gap apart along both axes."""
+    gap = draw(GAPS)
+    pts = draw(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), max_size=40))
+    return np.array([complex(p, q) for p, q in pts]) * (gap or 1.0), gap
+
+
+@st.composite
+def chains(draw):
+    """Steps of about gap laid along, across or at an angle to the sweep
+    direction, visited in a shuffled order."""
+    gap = draw(GAPS)
+    direction = draw(st.sampled_from([SWEEP, 1j * SWEEP, 1.0, 1j, np.exp(0.3j)]))
+    steps = draw(st.lists(
+        st.sampled_from([0.0, 0.5, 1.0 - 1e-12, 1.0, 1.0 + 1e-12, 1.5]), max_size=40
+    ))
+    origin = complex(draw(COORD), draw(COORD))
+    values = origin + direction * (gap or 1.0) * np.cumsum(steps)
+    order = draw(st.permutations(range(len(values))))
+    return values[list(order)], gap
+
+
+@st.composite
+def scattered(draw):
+    """Arbitrary points, some of them repeated."""
+    gap = draw(GAPS)
+    pts = draw(st.lists(st.tuples(COORD, COORD), max_size=30))
+    values = [complex(x, y) for x, y in pts]
+    if values:
+        values += draw(st.lists(st.sampled_from(values), max_size=10))
+    return np.array(values, dtype=complex), gap
+
+
+class TestClusterValues:
+    def test_empty_and_single(self):
+        assert cluster_values(np.array([], dtype=complex), 1e-8) == []
+        assert cluster_values(np.array([2 + 1j]), 1e-8) == [[0]]
+
+    def test_distance_of_exactly_gap_links(self):
+        values = np.array([3.5, 0.0, 2.5, 1.0])
+        assert cluster_values(values, 1.0) == [[1, 3], [0, 2]]
+
+    def test_bridge_across_sweep_direction(self):
+        # the first two share a key and lie 1.5 apart; the third lies within
+        # 1 of both and joins all three
+        values = np.array([0, 1.5j * SWEEP, (0.75j + 0.01) * SWEEP])
+        assert cluster_values(values, 1.0) == [[0, 1, 2]]
+
+    def test_step_of_gap_along_sweep_direction(self):
+        # the keys carry round-off, so a window of exactly gap misses some
+        # of these pairs
+        rng = np.random.default_rng(5)
+        for gap in (1e-8, 0.25):
+            for origin in rng.uniform(-10, 10, (100, 2)) @ np.array([1, 1j]):
+                values = np.array([origin, origin + SWEEP * gap])
+                assert cluster_values(values, gap) == reference_clusters(values, gap)
+
+    @given(st.one_of(lattice_points(), chains(), scattered()))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_all_pairs_reference(self, case):
+        values, gap = case
+        assert cluster_values(values, gap) == reference_clusters(values, gap)

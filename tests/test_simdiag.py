@@ -238,6 +238,27 @@ class TestInducedPair:
             for v1, v2 in zip(star.vectors, [avec, bvec]):
                 np.testing.assert_allclose(permute_vector(v1, sigma), v2, atol=1e-8)
 
+    def test_distinct_a_at_n10_recovers_planted_pairs(self):
+        # 90 x 90 = 8100 collision values to cluster
+        rng = np.random.default_rng(41)
+        a_vals = np.array([1, -1, 2, -2, 1j, -1j, 2j, 1 + 1j, 1 - 1j, -1 + 1j])
+        b_vals = np.array([1, -1, 1j, 2])[np.arange(10) % 4]
+        perm = rng.permutation(10)
+        a_vals, b_vals = a_vals[perm], b_vals[perm]
+        s = random_diagonalizer(rng, 10)
+        s_inv = np.linalg.inv(s)
+        a = s @ np.diag(a_vals) @ s_inv
+        b = s @ np.diag(b_vals) @ s_inv
+        avec, bvec, _, _ = induced_pair_without_diagonalizer(a, b)
+
+        def pair_multiset(xs, ys):
+            return sorted(
+                (round(x.real, 6), round(x.imag, 6), round(y.real, 6), round(y.imag, 6))
+                for x, y in zip(xs, ys)
+            )
+
+        assert pair_multiset(avec, bvec) == pair_multiset(a_vals, b_vals)
+
     def test_noncommuting_rejected(self):
         a = np.array([[1, 1], [1, -1]], dtype=complex)
         c = np.array([[0, 1], [-1, 0]], dtype=complex)
