@@ -19,15 +19,12 @@ matrix file names the file.
 solve and the named forms take --tol-zero, --tol-cluster, --tol-res and
 --tol-rank; verify and diagonalize take only --tol-zero and --tol-cluster,
 the two they apply.  A report echoes the tolerances its subcommand used.
-The environment variable LME_DEFAULT_TOL overrides every tolerance default;
-explicit flags win.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import replace
 
@@ -159,30 +156,17 @@ _TOLERANCES = {
 }
 
 
-def _tol_default(explicit: float | None, fallback: float) -> float:
-    if explicit is not None:
-        return explicit
-    env = os.environ.get("LME_DEFAULT_TOL")
-    if env is not None:
-        return float(env)
-    return fallback
-
-
 def _add_common(parser: argparse.ArgumentParser, *tolerances: str) -> None:
     for name in tolerances:
         default, blurb = _TOLERANCES[name]
-        parser.add_argument("--" + name.replace("_", "-"), type=float, default=None,
+        parser.add_argument("--" + name.replace("_", "-"), type=float, default=default,
                             help=f"{blurb} (default {default})")
     parser.add_argument("--out", default=None, help="write the JSON report here")
 
 
 def _resolve_tols(args) -> dict[str, float]:
     """The tolerances the subcommand registered, in the order of _TOLERANCES."""
-    return {
-        name: _tol_default(getattr(args, name), default)
-        for name, (default, _) in _TOLERANCES.items()
-        if hasattr(args, name)
-    }
+    return {name: getattr(args, name) for name in _TOLERANCES if hasattr(args, name)}
 
 
 class _Parser(argparse.ArgumentParser):

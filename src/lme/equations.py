@@ -225,8 +225,7 @@ def solve(
             witness = r
             break
     consistent = witness is None
-    s = star.diagonalizer
-    s_inv = np.linalg.inv(s)
+    s, s_inv = star.diagonalizer, star.inverse
     basis = tuple(np.outer(s[:, r], s_inv[c, :]) for r, c in rel.cells)
     certificate = None
     if all(is_normal(m, tol_commute) for m in family.members):

@@ -62,7 +62,8 @@ class NoMatchingPermutationError(LmeError):
 
 
 class RefinementFailureError(LmeError):
-    """A restricted block failed to diagonalize during refinement."""
+    """Each member of a commuting family is diagonalizable, but the family's
+    joint eigenbasis does not diagonalize all of them within tolerance."""
 
 
 class IntersectionAmbiguousError(LmeError):

@@ -17,12 +17,14 @@ from .errors import (
     EmptyListError,
     NonFiniteError,
     NonSquareError,
+    NotDiagonalizableError,
 )
 from .tolerances import TOL_CLUSTER, TOL_COMMUTE, TOL_RECON
 
 __all__ = [
     "Permutation",
     "EigenDecomposition",
+    "JointEigenbasis",
     "as_matrix",
     "require_square",
     "fro",
@@ -38,7 +40,7 @@ __all__ = [
 ]
 
 # Reciprocal-condition floor below which an eigenvector matrix is treated as
-# singular regardless of the reconstruction residual.
+# singular regardless of the off-diagonal mass it leaves.
 _RCOND_FLOOR = 1e-13
 
 # cluster_values sweeps along the direction e^{i} (angle 1 rad): the key of z
@@ -51,6 +53,12 @@ _SWEEP_ROTATION = complex(np.exp(-1j))
 # round-off in the projected keys and in abs(u - v), so that no pair that
 # passes the exact test falls outside the window.
 _SWEEP_SLACK = 16 * np.finfo(float).eps
+
+# Seed of the fixed weights mu_j of the combination sum_j mu_j M_j that
+# _joint_eigenbasis diagonalizes: member j gets the j-th complex Gaussian
+# draw.  (The seed is the arXiv number of He & Kressner's randomized joint
+# diagonalization.)
+_MIX_SEED = 221207248
 
 
 def as_matrix(value, name: str = "matrix") -> np.ndarray:
@@ -121,6 +129,19 @@ class EigenDecomposition:
     eigenvalues: np.ndarray
     condition_estimate: float
     diagonalizable: bool
+
+
+@dataclass(frozen=True)
+class JointEigenbasis:
+    """A matrix S that diagonalizes every member of a family, with S^{-1}
+    and the diagonals of S^{-1} M_j S, one per member.  Columns of S that
+    share an eigenvalue of the family's generic combination are orthonormal;
+    ``condition_estimate`` is the 1-norm condition number of S."""
+
+    diagonalizer: np.ndarray
+    inverse: np.ndarray
+    diagonals: tuple[np.ndarray, ...]
+    condition_estimate: float
 
 
 def canonical_sort_indices(values: np.ndarray, gap: float) -> list[int]:
@@ -201,75 +222,59 @@ def cluster_values(values: np.ndarray, gap: float) -> list[list[int]]:
     return [clusters[i] for i in order]
 
 
-def _reconstruction_ok(a, vecs, vals, tol):
-    """Check invertibility of the eigenvector matrix and the residual of
-    S diag(m) S^{-1} against ``a``; returns (ok, condition_estimate)."""
-    sing = np.linalg.svd(vecs, compute_uv=False)
-    if sing[0] == 0 or sing[-1] <= _RCOND_FLOOR * sing[0]:
-        return False, np.inf
-    cond = float(sing[0] / sing[-1])
-    inv = np.linalg.inv(vecs)
-    resid = fro(vecs @ (vals[:, None] * inv) - a)
-    return resid <= tol * max(1.0, fro(a)), cond
+def _joint_eigenbasis(mats, tol_recon: float, tol_cluster: float = TOL_CLUSTER) -> JointEigenbasis:
+    """One eigenbasis for a family of square matrices of one size, from one
+    ``eig``.
 
-
-def _star_eigensystem(a, tol_cluster, tol):
-    """Build an eigenbasis ordered as a star vector: eigenvalues clustered at
-    the ``tol_cluster`` gap, clusters sorted canonically, each eigenspace
-    spanned by an orthonormal basis from the SVD of (A - rep I).
-
-    Returns (values, basis, block_sizes) or None when some cluster's geometric
-    multiplicity falls short of its algebraic multiplicity (defective case).
+    The generic combination sum_j mu_j M_j / max(1, ||M_j||_F), with the fixed
+    weights of ``_MIX_SEED``, has the joint eigenspaces of commuting
+    diagonalizable members as its eigenspaces.  Its eigenvectors are grouped
+    by its eigenvalue clusters at the ``tol_cluster`` gap, and each group is
+    orthonormalized by QR.  Raises NotDiagonalizableError(i) for the first
+    member i that S^{-1} M_i S leaves with off-diagonal mass above
+    ``tol_recon`` (relative to max(1, ||M_i||_F)), and
+    NotDiagonalizableError(0) when S is singular below the rcond floor.
     """
-    n = a.shape[0]
-    scale = max(1.0, fro(a))
-    w = np.linalg.eigvals(a)
-    clusters = cluster_values(w, tol_cluster * scale)
-    cols = []
-    vals = []
-    sizes = []
-    for idx in clusters:
-        rep = w[idx].mean()
-        k = len(idx)
-        spread = float(np.max(np.abs(w[idx] - rep))) if k > 1 else 0.0
-        cutoff = max(4.0 * spread, tol * scale)
-        _, sing_vals, vh = np.linalg.svd(a - rep * np.eye(n))
-        # the k smallest singular values must vanish, otherwise the geometric
-        # multiplicity falls short of the algebraic one
-        if sing_vals[n - k] > cutoff:
-            return None
-        cols.append(vh[n - k:].conj().T)
-        vals.extend([rep] * k)
-        sizes.append(k)
-    basis = np.hstack(cols)
-    values = np.array(vals)
-    ok, _cond = _reconstruction_ok(a, basis, values, tol)
-    if not ok:
-        return None
-    return values, basis, sizes
+    mu = np.random.default_rng(_MIX_SEED).standard_normal((len(mats), 2)) @ (1, 1j)
+    mix = sum(w / max(1.0, fro(m)) * m for w, m in zip(mu, mats))
+    w, v = np.linalg.eig(mix)
+    groups = cluster_values(w, tol_cluster * max(1.0, fro(mix)))
+    s = np.hstack([np.linalg.qr(v[:, g])[0] for g in groups])
+    try:
+        s_inv = np.linalg.inv(s)
+    except np.linalg.LinAlgError:
+        raise NotDiagonalizableError(0, "its eigenvector matrix is singular") from None
+    cond = float(np.linalg.norm(s, 1) * np.linalg.norm(s_inv, 1))
+    if not cond * _RCOND_FLOOR < 1.0:
+        raise NotDiagonalizableError(0, f"its eigenvector matrix has condition {cond:.3e}")
+    diagonals = []
+    for i, m in enumerate(mats):
+        d = s_inv @ m @ s
+        diagonals.append(np.diag(d).copy())
+        np.fill_diagonal(d, 0)
+        off_mass = fro(d)
+        if off_mass > tol_recon * max(1.0, fro(m)):
+            raise NotDiagonalizableError(i, f"off-diagonal mass {off_mass:.3e} in the eigenbasis")
+    return JointEigenbasis(s, s_inv, tuple(diagonals), cond)
 
 
 def eig_decompose(m, tol: float = TOL_RECON, tol_cluster: float = TOL_CLUSTER) -> EigenDecomposition:
     """Eigendecomposition with an explicit diagonalizability verdict.
 
-    The verdict is decided by reconstruction residual: the raw LAPACK
-    eigenvectors are tried first, then a clustered eigenspace completion;
-    if neither reconstructs the matrix within ``tol`` (relative), the input
-    is reported as not diagonalizable and the raw output is returned for
-    inspection.
+    The eigenbasis is the one-member case of the joint eigenbasis: LAPACK's
+    eigenvectors, orthonormalized by QR within each eigenvalue cluster at the
+    ``tol_cluster`` gap.  The input counts as diagonalizable when S^{-1} M S
+    has off-diagonal mass at most ``tol`` (relative); the eigenvalues are
+    then the diagonal of S^{-1} M S.  Otherwise LAPACK's raw eigenvectors and
+    eigenvalues are returned for inspection.
     """
     a = require_square(as_matrix(m))
-    w, v = np.linalg.eig(a)
-    ok, cond = _reconstruction_ok(a, v, w, tol)
-    if ok:
-        return EigenDecomposition(v, w, cond, True)
-    star = _star_eigensystem(a, tol_cluster, tol)
-    if star is not None:
-        values, basis, _sizes = star
-        star_ok, star_cond = _reconstruction_ok(a, basis, values, tol)
-        if star_ok:
-            return EigenDecomposition(basis, values, star_cond, True)
-    return EigenDecomposition(v, w, cond, False)
+    try:
+        basis = _joint_eigenbasis([a], tol, tol_cluster)
+    except NotDiagonalizableError:
+        w, v = np.linalg.eig(a)
+        return EigenDecomposition(v, w, float(np.linalg.cond(v, 1)), False)
+    return EigenDecomposition(basis.diagonalizer, basis.diagonals[0], basis.condition_estimate, True)
 
 
 def commutes(a, b, tol: float = TOL_COMMUTE) -> bool:

@@ -1,12 +1,14 @@
 """Simultaneous diagonalization of commuting diagonalizable families.
 
-A family is diagonalized by recursive eigenspace refinement: the first
-member's eigenspaces fix a block partition, each later member is restricted
-to the current blocks (where it is block diagonal) and diagonalized there,
-splitting the blocks further.  The induced eigenvalue vectors then form a
-star sequence: the first is a star vector and each later one is constant on
-the blocks of the refined partition, with distinct values across sibling
-blocks.
+A family is diagonalized by one eigendecomposition: the eigenvectors of a
+generic linear combination sum_j mu_j M_j span the joint eigenspaces, the
+leaf blocks of the diagonalizer S (Y_1 ⊕ ... ⊕ Y_d) P.  ``validate_family``
+computes that joint eigenbasis once and checks that it diagonalizes every
+member.  The induced eigenvalue vectors are the diagonals of S^{-1} M_j S;
+sorting the columns lexicographically by each member's canonical eigenvalue
+rank makes them a star sequence: the first is a star vector and each later
+one is constant on the blocks of the refined partition, with distinct values
+across sibling blocks.
 
 The module also recovers, without computing any diagonalizer, a compatible
 ordering of the eigenvalues of two commuting matrices, by intersecting
@@ -15,7 +17,7 @@ eigenvalue multisets of shifted products.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,13 +32,13 @@ from .errors import (
     RefinementFailureError,
 )
 from .matcore import (
+    JointEigenbasis,
     Permutation,
-    _star_eigensystem,
+    _joint_eigenbasis,
     as_matrix,
     canonical_sort_indices,
     cluster_values,
     commutes,
-    eig_decompose,
     fro,
     require_square,
 )
@@ -59,10 +61,12 @@ __all__ = [
 @dataclass(frozen=True)
 class CommutingFamily:
     """An ordered, validated family of pairwise-commuting diagonalizable
-    matrices of a common size."""
+    matrices of a common size, with the joint eigenbasis that
+    ``validate_family`` found for it (None for a family built by hand)."""
 
     members: tuple[np.ndarray, ...]
     tol: float
+    eigenbasis: JointEigenbasis | None = field(default=None, repr=False, compare=False)
 
     @property
     def size(self) -> int:
@@ -79,11 +83,13 @@ class StarSequence:
 
     ``levels[j]`` lists the half-open index ranges of the partition after
     member j has been processed; ``levels[-1]`` holds the leaf blocks.
+    ``inverse`` is the inverse of the diagonalizer, computed with it.
     """
 
     diagonalizer: np.ndarray
     vectors: tuple[np.ndarray, ...]
     levels: tuple[tuple[tuple[int, int], ...], ...]
+    inverse: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @property
     def leaf_blocks(self) -> tuple[tuple[int, int], ...]:
@@ -102,7 +108,9 @@ class CommutantDescription:
 
 
 def validate_family(members, tol: float = TOL_COMMUTE, tol_recon: float = TOL_RECON) -> CommutingFamily:
-    """Check that the members commute pairwise and are all diagonalizable."""
+    """Check that the members commute pairwise and share one eigenbasis,
+    which is kept on the result.  When there is none, the first member that
+    is not diagonalizable on its own is named."""
     mats = [require_square(as_matrix(m, f"member {i}"), f"member {i}") for i, m in enumerate(members)]
     if not mats:
         raise EmptyListError("family must contain at least one matrix")
@@ -116,21 +124,18 @@ def validate_family(members, tol: float = TOL_COMMUTE, tol_recon: float = TOL_RE
                 resid = fro(mats[i] @ mats[j] - mats[j] @ mats[i])
                 denom = max(1.0, fro(mats[i]) * fro(mats[j]))
                 raise NotCommutingError(i, j, resid / denom)
-    for i, m in enumerate(mats):
-        if not eig_decompose(m, tol_recon).diagonalizable:
-            raise NotDiagonalizableError(i)
-    return CommutingFamily(tuple(mats), tol)
-
-
-def star_vector_of(m, tol_cluster: float = TOL_CLUSTER, tol_recon: float = TOL_RECON) -> np.ndarray:
-    """Eigenvalues of a diagonalizable matrix arranged as a star vector:
-    equal values contiguous, blocks in canonical order."""
-    a = require_square(as_matrix(m))
-    star = _star_eigensystem(a, tol_cluster, tol_recon)
-    if star is None:
-        raise NotDiagonalizableError(0)
-    values, _basis, _sizes = star
-    return values
+    try:
+        basis = _joint_eigenbasis(mats, tol_recon)
+    except NotDiagonalizableError as exc:
+        for i, m in enumerate(mats):
+            try:
+                _joint_eigenbasis([m], tol_recon)
+            except NotDiagonalizableError:
+                raise NotDiagonalizableError(i) from None
+        raise RefinementFailureError(
+            "the members are diagonalizable one by one but share no eigenbasis within tolerance"
+        ) from exc
+    return CommutingFamily(tuple(mats), tol, basis)
 
 
 def simultaneous_diagonalizer(
@@ -138,41 +143,45 @@ def simultaneous_diagonalizer(
     tol_cluster: float = TOL_CLUSTER,
     tol_recon: float = TOL_RECON,
 ) -> StarSequence:
-    """Joint diagonalizer whose induced vectors form a star sequence."""
+    """Joint diagonalizer whose induced vectors form a star sequence.
+
+    No eigensolve runs here: the diagonal of S^{-1} M_j S in the family's
+    joint eigenbasis is clustered at the ``tol_cluster`` gap and replaced by
+    the cluster means.  Columns are sorted lexicographically by the canonical
+    cluster ranks, member 0 first; ``levels[j]`` are the runs of equal ranks
+    of members 0..j.  ``tol_recon`` applies only to a family built by hand,
+    whose eigenbasis is computed here.
+    """
+    basis = family.eigenbasis
+    if basis is None:
+        basis = _joint_eigenbasis(family.members, tol_recon, tol_cluster)
     n = family.size
-    s = np.eye(n, dtype=complex)
-    blocks: list[tuple[int, int]] = [(0, n)]
-    vectors: list[np.ndarray] = []
-    levels: list[tuple[tuple[int, int], ...]] = []
-    for idx, m in enumerate(family.members):
-        d = np.linalg.solve(s, m @ s)
-        vec = np.empty(n, dtype=complex)
-        refined: list[tuple[int, int]] = []
-        for lo, hi in blocks:
-            sub = _star_eigensystem(d[lo:hi, lo:hi], tol_cluster, tol_recon)
-            if sub is None:
-                raise RefinementFailureError(
-                    f"member {idx} failed to diagonalize on block [{lo}, {hi})"
-                )
-            values, basis, sizes = sub
-            s[:, lo:hi] = s[:, lo:hi] @ basis
-            vec[lo:hi] = values
-            off = lo
-            for k in sizes:
-                refined.append((off, off + k))
-                off += k
-        blocks = refined
-        levels.append(tuple(blocks))
-        vectors.append(vec)
-    star = StarSequence(s, tuple(vectors), tuple(levels))
-    for i, m in enumerate(family.members):
-        d = np.linalg.solve(s, m @ s)
-        off_mass = fro(d - np.diag(np.diag(d)))
-        if off_mass > tol_recon * max(1.0, fro(m)):
-            raise RefinementFailureError(
-                f"joint diagonalizer leaves member {i} with off-diagonal mass {off_mass:.3e}"
-            )
-    return star
+    ranks = np.empty((len(family), n), dtype=int)
+    vectors = np.empty((len(family), n), dtype=complex)
+    for j, (m, d) in enumerate(zip(family.members, basis.diagonals)):
+        for rank, group in enumerate(cluster_values(d, tol_cluster * max(1.0, fro(m)))):
+            ranks[j, group] = rank
+            vectors[j, group] = d[group].mean()
+    order = np.lexsort(ranks[::-1])
+    split = np.zeros(n - 1, dtype=bool)
+    levels = []
+    for row in ranks[:, order]:
+        split |= row[1:] != row[:-1]
+        bounds = [0, *(np.flatnonzero(split) + 1).tolist(), n]
+        levels.append(tuple(zip(bounds[:-1], bounds[1:])))
+    return StarSequence(basis.diagonalizer[:, order], tuple(vectors[:, order]), tuple(levels), basis.inverse[order])
+
+
+def _single_star(m, tol_cluster, tol_recon) -> StarSequence:
+    """Star sequence of the one-member family {m}."""
+    a = require_square(as_matrix(m))
+    return simultaneous_diagonalizer(CommutingFamily((a,), TOL_COMMUTE), tol_cluster, tol_recon)
+
+
+def star_vector_of(m, tol_cluster: float = TOL_CLUSTER, tol_recon: float = TOL_RECON) -> np.ndarray:
+    """Eigenvalues of a diagonalizable matrix arranged as a star vector:
+    equal values contiguous, blocks in canonical order."""
+    return _single_star(m, tol_cluster, tol_recon).vectors[0]
 
 
 def induced_vectors(family: CommutingFamily, s) -> list[np.ndarray]:
@@ -234,12 +243,9 @@ def match_induced_sequences(seq1, seq2, tol: float = TOL_CLUSTER) -> Permutation
 def commutant(m, tol_cluster: float = TOL_CLUSTER, tol_recon: float = TOL_RECON) -> CommutantDescription:
     """Block description and dimension of the space of matrices commuting
     with a diagonalizable matrix."""
-    a = require_square(as_matrix(m))
-    star = _star_eigensystem(a, tol_cluster, tol_recon)
-    if star is None:
-        raise NotDiagonalizableError(0)
-    _values, basis, sizes = star
-    return CommutantDescription(basis, tuple(sizes), int(sum(k * k for k in sizes)))
+    star = _single_star(m, tol_cluster, tol_recon)
+    sizes = tuple(hi - lo for lo, hi in star.leaf_blocks)
+    return CommutantDescription(star.diagonalizer, sizes, sum(k * k for k in sizes))
 
 
 def _multiset_pick(candidates, pool, pool_used, gap):

@@ -16,6 +16,7 @@ from lme.cli import (
     main,
     write_matrix,
 )
+from lme.tolerances import TOL_CLUSTER, TOL_RANK, TOL_RES, TOL_ZERO
 
 HOMOG_A = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 1]], dtype=complex)
 HOMOG_B = np.array([[1, -1, 0], [-1, 1, 0], [0, 0, 2]], dtype=complex)
@@ -450,10 +451,13 @@ class TestDeterminismAndEnv:
             "--b", write("b.json", np.eye(2)),
             "--c", write("c.json", np.zeros((2, 2))),
         ]
+        # the environment no longer sets tolerances: the defaults are echoed
         monkeypatch.setenv("LME_DEFAULT_TOL", "1e-4")
         assert main(args + ["--out", str(out)]) == EXIT_OK
-        assert read_report(out)["tolerances"]["tol_zero"] == 1e-4
+        assert read_report(out)["tolerances"] == {
+            "tol_zero": TOL_ZERO, "tol_cluster": TOL_CLUSTER, "tol_res": TOL_RES, "tol_rank": TOL_RANK,
+        }
         assert main(args + ["--tol-zero", "1e-12", "--out", str(out)]) == EXIT_OK
         report = read_report(out)
         assert report["tolerances"]["tol_zero"] == 1e-12
-        assert report["tolerances"]["tol_cluster"] == 1e-4
+        assert report["tolerances"]["tol_cluster"] == TOL_CLUSTER

@@ -185,6 +185,25 @@ class TestSolve:
         assert diag_zeros == tdiag_zeros
 
 
+    def test_one_eigensolve_per_solve(self, monkeypatch):
+        calls = {"eig": 0, "svd": 0}
+
+        def counting(name, original):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return wrapper
+
+        rng = np.random.default_rng(58)
+        spec, _ = random_equation_instance(rng, 6, 2, zero_diag_rows=1)
+        monkeypatch.setattr(np.linalg, "eig", counting("eig", np.linalg.eig))
+        solve(spec)
+        assert calls["eig"] == 1
+        monkeypatch.setattr(np.linalg, "svd", counting("svd", np.linalg.svd))
+        lme.simultaneous_diagonalizer(lme.validate_family(spec.members()))
+        assert calls["svd"] == 0
+
+
 class TestCheckConsistent:
     def test_homogeneous_example_all_agree(self):
         ok, ev = check_consistent(homogeneous_spec())

@@ -1,14 +1,24 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lme.errors import (
     NoMatchingPermutationError,
     NotADiagonalizerError,
     NotCommutingError,
     NotDiagonalizableError,
+    RefinementFailureError,
 )
-from lme.instances import random_diagonalizer, random_family
-from lme.matcore import Permutation, direct_sum, permutation_matrix, permute_vector
+from lme.instances import ALPHABET, random_diagonalizer, random_family
+from lme.matcore import (
+    Permutation,
+    cluster_values,
+    direct_sum,
+    fro,
+    permutation_matrix,
+    permute_vector,
+)
 from lme.simdiag import (
     commutant,
     induced_pair_without_diagonalizer,
@@ -51,8 +61,19 @@ class TestValidateFamily:
         assert (exc.value.i, exc.value.j) == (0, 1)
 
     def test_not_diagonalizable(self):
-        with pytest.raises(NotDiagonalizableError):
+        with pytest.raises(NotDiagonalizableError) as exc:
             validate_family([JORDAN, np.eye(2)])
+        assert exc.value.i == 0
+        with pytest.raises(NotDiagonalizableError) as exc:
+            validate_family([np.eye(2), JORDAN])
+        assert exc.value.i == 1
+
+    def test_no_joint_eigenbasis(self):
+        # two diagonalizable members that a loose gate lets through as
+        # commuting, but that share no eigenbasis
+        b = np.array([[1, 1e-3], [0, 2]], dtype=complex)
+        with pytest.raises(RefinementFailureError):
+            validate_family([np.diag([1.0, 2.0]), b], tol=1e-2)
 
 
 class TestStarVector:
@@ -325,3 +346,91 @@ class TestDiagonalizerClosure:
                 sorted_by_blocks(star.vectors[2], base_blocks),
             ):
                 np.testing.assert_allclose(got, want, atol=1e-7)
+
+
+# The recursive eigenspace refinement that simultaneous_diagonalizer used
+# before the joint eigenbasis: the first member's eigenspaces fix a block
+# partition, each later member is restricted to the blocks and diagonalized
+# there with one SVD of (A - lambda I) per eigenvalue cluster.
+
+
+def _reference_reconstruction_ok(a, vecs, vals, tol):
+    sing = np.linalg.svd(vecs, compute_uv=False)
+    if sing[0] == 0 or sing[-1] <= 1e-13 * sing[0]:
+        return False
+    inv = np.linalg.inv(vecs)
+    return fro(vecs @ (vals[:, None] * inv) - a) <= tol * max(1.0, fro(a))
+
+
+def _reference_star_eigensystem(a, tol_cluster, tol):
+    n = a.shape[0]
+    scale = max(1.0, fro(a))
+    w = np.linalg.eigvals(a)
+    cols, vals, sizes = [], [], []
+    for idx in cluster_values(w, tol_cluster * scale):
+        rep = w[idx].mean()
+        k = len(idx)
+        spread = float(np.max(np.abs(w[idx] - rep))) if k > 1 else 0.0
+        _, sing_vals, vh = np.linalg.svd(a - rep * np.eye(n))
+        if sing_vals[n - k] > max(4.0 * spread, tol * scale):
+            return None
+        cols.append(vh[n - k:].conj().T)
+        vals.extend([rep] * k)
+        sizes.append(k)
+    basis, values = np.hstack(cols), np.array(vals)
+    if not _reference_reconstruction_ok(a, basis, values, tol):
+        return None
+    return values, basis, sizes
+
+
+def reference_star_sequence(members, tol_cluster=1e-8, tol_recon=1e-8):
+    """(S, vectors, levels) by recursive refinement; None on failure."""
+    n = members[0].shape[0]
+    s = np.eye(n, dtype=complex)
+    blocks = [(0, n)]
+    vectors, levels = [], []
+    for m in members:
+        d = np.linalg.solve(s, m @ s)
+        vec = np.empty(n, dtype=complex)
+        refined = []
+        for lo, hi in blocks:
+            sub = _reference_star_eigensystem(d[lo:hi, lo:hi], tol_cluster, tol_recon)
+            if sub is None:
+                return None
+            values, basis, sizes = sub
+            s[:, lo:hi] = s[:, lo:hi] @ basis
+            vec[lo:hi] = values
+            for k in sizes:
+                refined.append((lo, lo + k))
+                lo += k
+        blocks = refined
+        levels.append(tuple(blocks))
+        vectors.append(vec)
+    return s, vectors, tuple(levels)
+
+
+class TestAgainstRecursiveRefinement:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 10),
+        q=st.integers(1, 5),
+        pool=st.integers(1, len(ALPHABET)),
+        spread=st.floats(1.0, 1e3),
+    )
+    def test_exact_alphabet_families(self, seed, n, q, pool, spread):
+        rng = np.random.default_rng(seed)
+        s = random_diagonalizer(rng, n, spread)
+        s_inv = np.linalg.inv(s)
+        values = [ALPHABET[rng.choice(len(ALPHABET), size=pool, replace=False)] for _ in range(q)]
+        members = [s @ (v[rng.integers(0, pool, size=n)][:, None] * s_inv) for v in values]
+        reference = reference_star_sequence(members)
+        assert reference is not None
+        _, ref_vectors, ref_levels = reference
+        star = simultaneous_diagonalizer(validate_family(members))
+        assert star.levels == ref_levels
+        for got, want in zip(star.vectors, ref_vectors):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
+        for m, vec in zip(members, star.vectors):
+            recon = star.diagonalizer @ (vec[:, None] * star.inverse)
+            assert fro(recon - m) <= 1e-8 * max(1.0, fro(m))
