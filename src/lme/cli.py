@@ -228,20 +228,19 @@ def build_parser() -> argparse.ArgumentParser:
 # shared solve/report path
 
 def _structured_report(spec, result, evidence, tols) -> dict:
-    homogeneous = replace(spec, rhs=np.zeros_like(spec.rhs))
-    res_basis = max(
-        (equations.equation_residual(homogeneous, b) for b in result.basis), default=0.0
-    )
+    # residuals of the x_hat and basis the report carries; the evidence's
+    # flags are its own view, on the Drazin candidate
+    residuals = {
+        "x_hat_equation": equations.equation_residual(spec, result.x_hat),
+        "x_hat_standard": equations.standard_residual(spec, result.x_hat),
+        "basis_homogeneous_max": equations.basis_residual_max(spec, result.basis),
+    }
     return {
         "consistent": result.consistent,
         "dimension": result.dimension,
         "x_hat": matrix_payload(result.x_hat),
         "basis": [matrix_payload(b) for b in result.basis],
-        "residuals": {
-            "x_hat_equation": evidence.equation_residual,
-            "x_hat_standard": evidence.standard_residual,
-            "basis_homogeneous_max": res_basis,
-        },
+        "residuals": residuals,
         "diagnostics": list(evidence.diagnostics),
         "equivalence_checks": evidence.flags(),
         "witness_row": result.witness_r,
@@ -302,7 +301,7 @@ def _cmd_equation(args) -> int:
         _emit(report, args.out)
         return EXIT_OK if report["consistent"] else EXIT_INCONSISTENT
     evidence = equations.consistency_evidence(
-        spec, result, tol_res=tols["tol_res"], tol_rank=tols["tol_rank"]
+        spec, result, tols["tol_res"], tols["tol_rank"], tols["tol_zero"]
     )
     _emit({**_structured_report(spec, result, evidence, tols), **extras}, args.out)
     return EXIT_OK if result.consistent else EXIT_INCONSISTENT

@@ -8,11 +8,21 @@ diagonal cell has gamma[r, r] != 0 or c_r = 0, the candidate solution is
 (sum_j A_j B_j)^Drazin C, and the homogeneous solution space is spanned by
 S E_rs S^{-1} over the zero cells of gamma.  Sylvester, Stein and both
 Lyapunov equations are thin wrappers over the same machinery.
+
+``solve`` keeps the solution set in that factored form.  Its candidate
+solution is read off the joint eigenbasis as S diag(d) S^{-1}, where d_r
+divides the r-th diagonal entry of S^{-1} C S by sum_j of the r-th diagonal
+entries of S^{-1} A_j S and S^{-1} B_j S (taken as computed, not as cluster
+means), and d_r = 0 where gamma[r, r] is a zero cell.  Its ``basis`` is a
+lazy ``FactoredBasis`` that forms the dense S E_rs S^{-1} only when indexed.
+The Schur-based Drazin candidate ``x_hat`` is the independent view that
+``consistency_evidence`` checks it against.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -32,12 +42,15 @@ from .tolerances import TOL_CLUSTER, TOL_COMMUTE, TOL_RANK, TOL_RECON, TOL_RES, 
 __all__ = [
     "EquationSpec",
     "RelevantMatrix",
+    "FactoredBasis",
     "AffineSolutionSet",
     "ConsistencyEvidence",
     "UniquenessReport",
     "equation_spec",
     "equation_residual",
     "coefficient_sum",
+    "standard_residual",
+    "basis_residual_max",
     "standard_spec",
     "relevant_matrix",
     "x_hat",
@@ -106,6 +119,11 @@ def coefficient_sum(spec: EquationSpec) -> np.ndarray:
     return sum(a @ b for a, b in zip(spec.a_list, spec.b_list))
 
 
+def standard_residual(spec: EquationSpec, x) -> float:
+    """Frobenius norm of (sum_j A_j B_j) X - C."""
+    return fro(coefficient_sum(spec) @ as_matrix(x, "X") - spec.rhs)
+
+
 def standard_spec(spec: EquationSpec) -> EquationSpec:
     """The attached standard equation (sum_j A_j B_j) X = C as a one-term
     instance."""
@@ -153,22 +171,68 @@ def relevant_matrix(a_vectors, b_vectors, c_vector, tol_zero: float = TOL_ZERO) 
     return RelevantMatrix(gamma, avecs, bvecs, cvec, mask, int(mask.sum()), scale)
 
 
+class FactoredBasis(Sequence):
+    """The matrices S E_rs S^{-1} over zero cells (r, s), kept as S, S^{-1}
+    and the cell indices.  Member i is
+    np.outer(S[:, rows[i]], S^{-1}[cols[i], :]), formed when it is indexed;
+    ``tuple(basis)`` gives all of them densely.  Slicing gives another
+    ``FactoredBasis``."""
+
+    __slots__ = ("diagonalizer", "inverse", "rows", "cols")
+
+    def __init__(self, diagonalizer: np.ndarray, inverse: np.ndarray, rows, cols):
+        self.diagonalizer = diagonalizer
+        self.inverse = inverse
+        self.rows = np.asarray(rows, dtype=np.intp)
+        self.cols = np.asarray(cols, dtype=np.intp)
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return FactoredBasis(self.diagonalizer, self.inverse, self.rows[i], self.cols[i])
+        return np.outer(self.diagonalizer[:, self.rows[i]], self.inverse[self.cols[i], :])
+
+
+def basis_residual_max(spec: EquationSpec, basis: Sequence[np.ndarray]) -> float:
+    """Largest ||sum_j A_j Y B_j||_F over the members Y of ``basis``.
+
+    For a ``FactoredBasis`` no member is formed: with A_j S and S^{-1} B_j
+    computed once, member S E_rs S^{-1} leaves the n x n product of the
+    columns (A_j S)[:, r] and the rows (S^{-1} B_j)[s, :] over j, O(k n^2)
+    per member.  Any other sequence is evaluated member by member.
+    """
+    if not isinstance(basis, FactoredBasis):
+        homogeneous = replace(spec, rhs=np.zeros_like(spec.rhs))
+        return max((equation_residual(homogeneous, y) for y in basis), default=0.0)
+    left = np.stack([a @ basis.diagonalizer for a in spec.a_list], axis=-1)  # [:, r, j]
+    right = np.stack([basis.inverse @ b for b in spec.b_list])  # [j, s, :]
+    cells = zip(basis.rows, basis.cols)
+    return max((fro(left[:, r] @ right[:, s]) for r, s in cells), default=0.0)
+
+
 @dataclass(frozen=True)
 class AffineSolutionSet:
     """Full description of the solution set of one equation.
 
-    When consistent, the solutions are exactly x_hat + span(basis); the basis
-    matrices are S E_rs S^{-1} over the zero cells of the relevant matrix and
-    dimension equals their count.  ``normal_certificate`` is only set when
-    every input matrix is normal, and then records whether all off-diagonal
-    relevant-matrix entries are nonzero (the condition for every solution to
-    be normal).
+    When consistent, the solutions are exactly x_hat + span(basis).  ``solve``
+    returns the basis as a lazy ``FactoredBasis``: the matrices S E_rs S^{-1}
+    over the zero cells of the relevant matrix, each formed when indexed
+    (``tuple(result.basis)`` gives them all densely); dimension equals their
+    count.  x_hat is S diag(d) S^{-1} in the star-ordered joint eigenbasis,
+    d_r the ratio of the r-th diagonal entries of S^{-1} C S and
+    sum_j S^{-1} A_j S S^{-1} B_j S, with 0 on zero diagonal cells;
+    ``consistency_evidence`` compares it with the Drazin candidate.
+    ``normal_certificate`` is only set when every input matrix is normal, and
+    then records whether all off-diagonal relevant-matrix entries are nonzero
+    (the condition for every solution to be normal).
     """
 
     consistent: bool
     witness_r: int | None
     x_hat: np.ndarray
-    basis: tuple[np.ndarray, ...]
+    basis: Sequence[np.ndarray]
     dimension: int
     diagonalizer: np.ndarray
     normal_certificate: bool | None
@@ -226,7 +290,13 @@ def solve(
             break
     consistent = witness is None
     s, s_inv = star.diagonalizer, star.inverse
-    basis = tuple(np.outer(s[:, r], s_inv[c, :]) for r, c in rel.cells)
+    # the raw diagonals, not the cluster means: their ratio is what makes
+    # S diag(d) S^{-1} solve the equation on C itself
+    raw = star.diagonals
+    gamma_diag = sum(a * b for a, b in zip(raw[:k], raw[k:2 * k]))
+    d = np.divide(raw[2 * k], gamma_diag, out=np.zeros(spec.n, complex), where=~diag_zero)
+    x = (s * d) @ s_inv
+    basis = FactoredBasis(s, s_inv, *np.nonzero(rel.zero_mask))
     certificate = None
     if all(is_normal(m, tol_commute) for m in family.members):
         off = rel.zero_mask.copy()
@@ -235,7 +305,7 @@ def solve(
     return AffineSolutionSet(
         consistent=consistent,
         witness_r=witness,
-        x_hat=x_hat(spec, tol_zero),
+        x_hat=x,
         basis=basis,
         dimension=len(basis),
         diagonalizer=s,
@@ -250,7 +320,9 @@ class ConsistencyEvidence:
     """Independently evaluated equivalent views of consistency.
 
     The five flags must agree for well-conditioned input; any disagreement is
-    surfaced in ``diagnostics`` rather than resolved silently.
+    surfaced in ``diagnostics`` rather than resolved silently.  The two
+    residuals are those of the Drazin candidate (sum_j A_j B_j)^Drazin C,
+    computed apart from the eigenbasis that ``solve`` used.
     """
 
     consistent: bool
@@ -298,13 +370,16 @@ def consistency_evidence(
     result: AffineSolutionSet,
     tol_res: float = TOL_RES,
     tol_rank: float = TOL_RANK,
+    tol_zero: float = TOL_ZERO,
 ) -> ConsistencyEvidence:
     """All equivalent views of consistency for the result ``solve`` returned
     on ``spec``, evaluated independently: the diagonal rule on the relevant
-    matrix, the residual of the candidate solution in the equation itself, a
-    rank test on the attached standard equation, and the candidate's residual
-    in the standard equation."""
-    xh = result.x_hat
+    matrix, the residual of the Drazin candidate ``x_hat(spec, tol_zero)`` in
+    the equation itself, a rank test on the attached standard equation, and
+    the candidate's residual in the standard equation.  A diagnostic is added
+    when the Drazin candidate and ``result.x_hat`` (read off the eigenbasis)
+    differ by more than ``tol_res``, relative."""
+    xh = x_hat(spec, tol_zero)
     res_eq = equation_residual(spec, xh)
     bound = tol_res * max(1.0, fro(spec.rhs))
     w = coefficient_sum(spec)
@@ -320,6 +395,12 @@ def consistency_evidence(
             f"(diagonal={ev_diag}, equation_residual={ev_eq}, "
             f"standard_rank={ev_std_rank}, standard_residual={ev_std_res}); "
             "this indicates numerical conditioning trouble, not a verdict"
+        )
+    gap = fro(result.x_hat - xh)
+    if gap > tol_res * max(1.0, fro(xh)):
+        diagnostics.append(
+            f"the eigenbasis candidate differs from the Drazin candidate by {gap:.3e} "
+            "(Frobenius norm); the joint eigenbasis may be ill-conditioned"
         )
     return ConsistencyEvidence(
         consistent=ev_diag,
@@ -340,10 +421,11 @@ def check_consistent(
     tol_zero: float = TOL_ZERO,
     tol_res: float = TOL_RES,
     tol_rank: float = TOL_RANK,
+    tol_recon: float = TOL_RECON,
 ) -> tuple[bool, ConsistencyEvidence]:
     """Consistency verdict plus its ``consistency_evidence``."""
-    result = solve(spec, tol_commute, tol_cluster, tol_zero)
-    evidence = consistency_evidence(spec, result, tol_res, tol_rank)
+    result = solve(spec, tol_commute, tol_cluster, tol_zero, tol_recon)
+    evidence = consistency_evidence(spec, result, tol_res, tol_rank, tol_zero)
     return evidence.consistent, evidence
 
 

@@ -84,12 +84,16 @@ class StarSequence:
     ``levels[j]`` lists the half-open index ranges of the partition after
     member j has been processed; ``levels[-1]`` holds the leaf blocks.
     ``inverse`` is the inverse of the diagonalizer, computed with it.
+    ``vectors`` replace each cluster of eigenvalues by its mean;
+    ``diagonals`` are the diagonals of S^{-1} M_j S themselves, in the same
+    order.
     """
 
     diagonalizer: np.ndarray
     vectors: tuple[np.ndarray, ...]
     levels: tuple[tuple[tuple[int, int], ...], ...]
     inverse: np.ndarray | None = field(default=None, repr=False, compare=False)
+    diagonals: tuple[np.ndarray, ...] | None = field(default=None, repr=False, compare=False)
 
     @property
     def leaf_blocks(self) -> tuple[tuple[int, int], ...]:
@@ -169,7 +173,13 @@ def simultaneous_diagonalizer(
         split |= row[1:] != row[:-1]
         bounds = [0, *(np.flatnonzero(split) + 1).tolist(), n]
         levels.append(tuple(zip(bounds[:-1], bounds[1:])))
-    return StarSequence(basis.diagonalizer[:, order], tuple(vectors[:, order]), tuple(levels), basis.inverse[order])
+    return StarSequence(
+        basis.diagonalizer[:, order],
+        tuple(vectors[:, order]),
+        tuple(levels),
+        basis.inverse[order],
+        tuple(d[order] for d in basis.diagonals),
+    )
 
 
 def _single_star(m, tol_cluster, tol_recon) -> StarSequence:
@@ -278,19 +288,22 @@ def induced_pair_without_diagonalizer(
     """Compatible eigenvalue ordering for two commuting diagonalizable
     matrices, computed from eigenvalues alone.
 
-    The first vector is the star vector of ``a``.  For each of its nonzero
-    eigenvalue blocks, the matching block of ``b``-eigenvalues is recovered as
-    the multiset intersection of eig(B) with eig((AB + beta*A)/lambda - beta*I)
-    for a shift ``beta`` chosen outside the set of collision values; a zero
-    eigenvalue block receives whatever remains.  Returns ``(avec, bvec,
-    collision_set, beta)``; the assembled pair is cross-checked against a
-    joint diagonalizer run before being returned.
+    The first vector is the star vector of ``a``, read off the family's joint
+    eigenbasis (the one eigensolve of ``validate_family``).  For each of its
+    nonzero eigenvalue blocks, the matching block of ``b``-eigenvalues is
+    recovered as the multiset intersection of eig(B) with
+    eig((AB + beta*A)/lambda - beta*I) for a shift ``beta`` chosen outside
+    the set of collision values; a zero eigenvalue block receives whatever
+    remains.  Returns ``(avec, bvec, collision_set, beta)``; the assembled
+    pair is cross-checked against the joint diagonalizer's induced pair
+    before being returned.
     """
     amat = require_square(as_matrix(a, "A"), "A")
     bmat = require_square(as_matrix(b, "B"), "B")
     family = validate_family([amat, bmat], tol)
     n = family.size
-    avec = star_vector_of(amat, tol_cluster)
+    star = simultaneous_diagonalizer(family, tol_cluster)
+    avec = star.vectors[0]
     scale_a = max(1.0, fro(amat))
     scale_b = max(1.0, fro(bmat))
 
@@ -356,7 +369,6 @@ def induced_pair_without_diagonalizer(
         bvec[off:off + sizes[q]] = vals[order]
         off += sizes[q]
 
-    star = simultaneous_diagonalizer(family, tol_cluster)
     try:
         match_induced_sequences([star.vectors[0], star.vectors[1]], [avec, bvec], tol_cluster)
     except NoMatchingPermutationError as exc:

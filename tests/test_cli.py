@@ -16,6 +16,7 @@ from lme.cli import (
     main,
     write_matrix,
 )
+from lme.instances import random_equation_instance
 from lme.tolerances import TOL_CLUSTER, TOL_RANK, TOL_RES, TOL_ZERO
 
 HOMOG_A = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 1]], dtype=complex)
@@ -97,6 +98,23 @@ class TestSolveCommand:
         assert len(report["basis"]) == 2
         assert all(v is True for v in report["equivalence_checks"].values())
         assert all(np.isfinite(v) for v in report["residuals"].values())
+
+    def test_residuals_are_those_of_the_reported_matrices(self, files):
+        write, tmp = files
+        spec, _ = random_equation_instance(np.random.default_rng(61), 6, 2, zero_diag_rows=2)
+        out = tmp / "report.json"
+        args = ["solve", "--c", write("c.json", spec.rhs), "--out", str(out)]
+        for j, (a, b) in enumerate(zip(spec.a_list, spec.b_list)):
+            args += ["--a", write(f"a{j}.json", a), "--b", write(f"b{j}.json", b)]
+        assert main(args) == EXIT_OK
+        report = read_report(out)
+        x = payload_to_matrix(report["x_hat"])
+        basis = [payload_to_matrix(p) for p in report["basis"]]
+        residuals = report["residuals"]
+        assert residuals["x_hat_equation"] == lme.equations.equation_residual(spec, x)
+        assert residuals["x_hat_standard"] == lme.equations.standard_residual(spec, x)
+        dense = lme.equations.basis_residual_max(spec, basis)
+        assert residuals["basis_homogeneous_max"] == pytest.approx(dense, rel=1e-6, abs=1e-13)
 
     def test_malformed_file_exit(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -1,8 +1,15 @@
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lme
 from lme.equations import (
+    FactoredBasis,
+    basis_residual_max,
     check_consistent,
     equation_residual,
     equation_spec,
@@ -31,8 +38,9 @@ from lme.instances import (
     random_equation_instance,
     random_family,
 )
-from lme.matcore import commutes, is_normal
+from lme.matcore import commutes, fro, is_normal
 from lme.oracle import compare, oracle_solve, vectorize
+from lme.tolerances import TOL_RES
 
 HOMOG_A = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 1]], dtype=complex)
 HOMOG_B = np.array([[1, -1, 0], [-1, 1, 0], [0, 0, 2]], dtype=complex)
@@ -53,6 +61,28 @@ def stein_jordan_spec():
 
 def stein_noncommuting_spec():
     return equation_spec([STEIN2_A, -2 * I2], [STEIN2_A, I2], STEIN2_C)
+
+
+def conditioned_instance(rng, n, k, spread, zero_rows, inconsistent):
+    """A planted instance conjugated by a diagonalizer of condition number up
+    to ``spread``, so that its joint eigenbasis is that badly conditioned."""
+    spec, _ = random_equation_instance(rng, n, k, zero_diag_rows=zero_rows, inconsistent=inconsistent)
+    w = random_diagonalizer(rng, n, spread)
+    w_inv = np.linalg.inv(w)
+    return equation_spec(
+        [w_inv @ a @ w for a in spec.a_list],
+        [w_inv @ b @ w for b in spec.b_list],
+        w_inv @ spec.rhs @ w,
+    )
+
+
+instance_params = dict(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 10),
+    k=st.integers(1, 4),
+    spread=st.floats(1.0, 1e4),
+    zero_rows=st.integers(0, 2),
+)
 
 
 class TestRelevantMatrix:
@@ -204,7 +234,117 @@ class TestSolve:
         assert calls["svd"] == 0
 
 
+class TestFactoredSolutionSet:
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), **instance_params)
+    def test_basis_equals_dense_outer_products(self, data, seed, n, k, spread, zero_rows):
+        res = solve(conditioned_instance(np.random.default_rng(seed), n, k, spread, zero_rows, False))
+        s, s_inv = res.star.diagonalizer, res.star.inverse
+        dense = tuple(np.outer(s[:, r], s_inv[c, :]) for r, c in res.relevant.cells)
+        assert isinstance(res.basis, FactoredBasis)
+        assert len(res.basis) == len(dense) == res.dimension
+        assert all(np.array_equal(got, want) for got, want in zip(res.basis, dense))
+        for i in range(-len(dense), len(dense)):
+            assert np.array_equal(res.basis[i], dense[i])
+        for i in (len(dense), -len(dense) - 1):
+            with pytest.raises(IndexError):
+                res.basis[i]
+        part = data.draw(st.slices(len(dense)))
+        assert len(res.basis[part]) == len(dense[part])
+        assert all(np.array_equal(got, want) for got, want in zip(res.basis[part], dense[part]))
+
+    @settings(max_examples=100, deadline=None)
+    @given(inconsistent=st.booleans(), **instance_params)
+    def test_eigenbasis_x_hat_matches_drazin(self, inconsistent, seed, n, k, spread, zero_rows):
+        zero_rows = max(zero_rows, int(inconsistent))
+        spec = conditioned_instance(np.random.default_rng(seed), n, k, spread, zero_rows, inconsistent)
+        res = solve(spec)
+        assert res.consistent != inconsistent
+        drazin = x_hat(spec)
+        cond = np.linalg.cond(res.diagonalizer)
+        assert fro(res.x_hat - drazin) <= 1e-13 * cond**2 * max(1.0, fro(drazin))
+
+    def test_x_hat_solves_c_whose_eigenvalues_cluster(self):
+        # C's eigenvalues 1 and 1 + 5e-9 fall in one cluster, so the star
+        # vector of C holds their mean; X-hat must divide the diagonals of
+        # S^{-1} C S themselves to solve the equation on C
+        s = np.array([[1.0, 1.0], [0.0, 0.02]])  # condition number about 100
+        s_inv = np.linalg.inv(s)
+        a = s @ np.diag([1.0, 2.0]) @ s_inv
+        c = s @ np.diag([1.0, 1.0 + 5e-9]) @ s_inv
+        spec = equation_spec([a], [np.eye(2)], c)
+        res = solve(spec)
+        assert res.consistent and res.dimension == 0
+        assert equation_residual(spec, res.x_hat) <= TOL_RES * max(1.0, fro(c))
+        compare(res, vectorize(spec))
+
+    def test_basis_residual_rank_one_form(self):
+        # on a perturbed equation every member leaves a residual well above
+        # round-off, so the rank-one form must match the dense one closely
+        rng = np.random.default_rng(61)
+        spec, _ = random_equation_instance(rng, 6, 2, zero_diag_rows=2)
+        res = solve(spec)
+        assert res.dimension > 0
+        moved = equation_spec(
+            [a + 1e-3 * rng.standard_normal(a.shape) for a in spec.a_list],
+            spec.b_list,
+            np.zeros_like(spec.rhs),
+        )
+        dense = basis_residual_max(moved, tuple(res.basis))
+        assert dense == max(equation_residual(moved, b) for b in res.basis) > 1e-6
+        assert basis_residual_max(moved, res.basis) == pytest.approx(dense, rel=1e-12)
+        assert basis_residual_max(moved, res.basis[:0]) == 0.0
+
+    def test_drazin_only_in_the_evidence(self, monkeypatch):
+        calls = []
+        original = lme.geninv.drazin
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(lme.geninv, "drazin", counting)
+        spec, _ = random_equation_instance(np.random.default_rng(59), 6, 2, zero_diag_rows=1)
+        solve(spec)
+        assert len(calls) == 0
+        check_consistent(spec)
+        assert len(calls) == 1
+
+    def test_peak_allocation_independent_of_dimension(self):
+        n = 64
+        spec, _ = random_equation_instance(np.random.default_rng(0), n, 2, zero_diag_rows=1)
+        solve(spec)  # warm up numpy's lazy state outside the trace
+        tracemalloc.start()
+        try:
+            res = solve(spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert res.dimension >= 100
+        assert peak <= 32 * n * n * np.dtype(complex).itemsize
+
+    def test_evidence_flags_a_wrong_eigenbasis_candidate(self):
+        spec = homogeneous_spec()
+        res = solve(spec)
+        _, clean = check_consistent(spec)
+        assert clean.diagnostics == ()
+        bad = lme.equations.consistency_evidence(spec, replace(res, x_hat=res.x_hat + 1e-6))
+        assert any("Drazin candidate" in d for d in bad.diagnostics)
+
+
 class TestCheckConsistent:
+    def test_tol_recon_reaches_validate_family(self, monkeypatch):
+        seen = []
+        original = lme.equations.validate_family
+
+        def recording(members, tol, tol_recon):
+            seen.append(tol_recon)
+            return original(members, tol, tol_recon)
+
+        monkeypatch.setattr(lme.equations, "validate_family", recording)
+        check_consistent(homogeneous_spec(), tol_recon=3e-7)
+        assert seen == [3e-7]
+
     def test_homogeneous_example_all_agree(self):
         ok, ev = check_consistent(homogeneous_spec())
         assert ok

@@ -10,9 +10,12 @@ from lme.errors import (
     NotDiagonalizableError,
     RefinementFailureError,
 )
+from lme.equations import equation_spec, solve
 from lme.instances import ALPHABET, random_diagonalizer, random_family
 from lme.matcore import (
+    _MIX_SEED,
     Permutation,
+    _eigenbasis_of_mix,
     cluster_values,
     direct_sum,
     fro,
@@ -28,6 +31,7 @@ from lme.simdiag import (
     star_vector_of,
     validate_family,
 )
+from lme.tolerances import TOL_CLUSTER, TOL_RECON
 
 HOMOG_A = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 1]], dtype=complex)
 HOMOG_B = np.array([[1, -1, 0], [-1, 1, 0], [0, 0, 2]], dtype=complex)
@@ -74,6 +78,20 @@ class TestValidateFamily:
         b = np.array([[1, 1e-3], [0, 2]], dtype=complex)
         with pytest.raises(RefinementFailureError):
             validate_family([np.diag([1.0, 2.0]), b], tol=1e-2)
+
+    def test_fallback_weights_when_eigenspaces_collide(self):
+        # B is built against the first weights: mu_0 A + mu_1 B has the
+        # eigenvalue 0 on two joint eigenspaces, so only the fallback
+        # combination separates them
+        s = random_diagonalizer(np.random.default_rng(5), 3)
+        s_inv = np.linalg.inv(s)
+        mu = np.random.default_rng(_MIX_SEED).standard_normal((2, 2)) @ (1, 1j)
+        a = s @ np.diag([0, 0.1, 0.2]) @ s_inv
+        b = s @ np.diag([0, -0.1 * mu[0] / mu[1], 0.05]) @ s_inv
+        with pytest.raises(NotDiagonalizableError):
+            _eigenbasis_of_mix([a, b], _MIX_SEED, TOL_RECON, TOL_CLUSTER)
+        validate_family([a, b])
+        assert solve(equation_spec([a], [b], np.zeros((3, 3)))).dimension == 5
 
 
 class TestStarVector:
@@ -285,6 +303,19 @@ class TestInducedPair:
         c = np.array([[0, 1], [-1, 0]], dtype=complex)
         with pytest.raises(NotCommutingError):
             induced_pair_without_diagonalizer(a, c)
+
+    def test_one_eigensolve_per_pair(self, monkeypatch):
+        _, _, (a, b) = random_family(np.random.default_rng(40), 8, 2)
+        calls = []
+        original = np.linalg.eig
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eig", counting)
+        induced_pair_without_diagonalizer(a, b)
+        assert len(calls) == 1
 
 
 class TestDiagonalizerClosure:
