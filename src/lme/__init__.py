@@ -83,6 +83,6 @@ from .simdiag import (
     star_vector_of,
     validate_family,
 )
-from .tolerances import TOL_CLUSTER, TOL_COMMUTE, TOL_RANK, TOL_RECON, TOL_RES, TOL_ZERO
+from .tolerances import TOL_CLUSTER, TOL_COMMUTE, TOL_RANK, TOL_RECON, TOL_RES, TOL_ZERO, Tolerances
 
 __version__ = "0.1.0"

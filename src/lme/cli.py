@@ -17,8 +17,9 @@ violated, 3 inconsistent, 4 verification mismatch.  An error reading a
 matrix file names the file.
 
 solve and the named forms take --tol-zero, --tol-cluster, --tol-res and
---tol-rank; verify and diagonalize take only --tol-zero and --tol-cluster,
-the two they apply.  A report echoes the tolerances its subcommand used.
+--tol-rank; verify and diagonalize take only --tol-zero and --tol-cluster.
+The flags a subcommand registers, over the defaults, make the one
+``Tolerances`` value of the run.  A report echoes those flags' values.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from .errors import (
 from .instances import random_equation_instance
 from .matcore import as_matrix
 from .simdiag import induced_pair_without_diagonalizer, simultaneous_diagonalizer, validate_family
-from .tolerances import TOL_CLUSTER, TOL_RANK, TOL_RES, TOL_ZERO
+from .tolerances import DEFAULT, Tolerances
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -147,26 +148,32 @@ def _emit(report: dict, out_path: str | None) -> None:
 # ---------------------------------------------------------------------------
 # argument plumbing
 
-# flag name -> (default, help); each subcommand registers the ones it reads
-_TOLERANCES = {
-    "tol_zero": (TOL_ZERO, "zero threshold"),
-    "tol_cluster": (TOL_CLUSTER, "eigenvalue clustering gap"),
-    "tol_res": (TOL_RES, "residual acceptance"),
-    "tol_rank": (TOL_RANK, "rank threshold"),
+# Tolerances field -> help; each subcommand registers the flags it reads
+_TOLERANCE_FLAGS = {
+    "zero": "zero threshold",
+    "cluster": "eigenvalue clustering gap",
+    "res": "residual acceptance",
+    "rank": "rank threshold",
 }
 
 
-def _add_common(parser: argparse.ArgumentParser, *tolerances: str) -> None:
-    for name in tolerances:
-        default, blurb = _TOLERANCES[name]
-        parser.add_argument("--" + name.replace("_", "-"), type=float, default=default,
-                            help=f"{blurb} (default {default})")
+def _add_common(parser: argparse.ArgumentParser, *fields: str) -> None:
+    for name in fields:
+        default = getattr(DEFAULT, name)
+        parser.add_argument(f"--tol-{name}", type=float, default=default,
+                            help=f"{_TOLERANCE_FLAGS[name]} (default {default})")
+    parser.set_defaults(tol_fields=fields)
     parser.add_argument("--out", default=None, help="write the JSON report here")
 
 
-def _resolve_tols(args) -> dict[str, float]:
-    """The tolerances the subcommand registered, in the order of _TOLERANCES."""
-    return {name: getattr(args, name) for name in _TOLERANCES if hasattr(args, name)}
+def _tolerances(args) -> Tolerances:
+    """The run's tolerances: the registered flags over the defaults."""
+    return Tolerances(**{name: getattr(args, f"tol_{name}") for name in args.tol_fields})
+
+
+def _echo(tol: Tolerances, args) -> dict[str, float]:
+    """The report's ``tolerances``: the registered flags and their values."""
+    return {f"tol_{name}": getattr(tol, name) for name in args.tol_fields}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -201,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--force-oracle", action="store_true",
                        help="fall back to the brute-force oracle when the "
                             "structural hypotheses fail")
-        _add_common(p, *_TOLERANCES)
+        _add_common(p, *_TOLERANCE_FLAGS)
 
     p_verify = sub.add_parser("verify", help="referee the solver against the oracle")
     p_verify.add_argument("--a", action="append", metavar="FILE")
@@ -213,21 +220,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--inject-fault", action="store_true",
                           help="corrupt a basis matrix first (negative control)")
-    _add_common(p_verify, "tol_zero", "tol_cluster")
+    _add_common(p_verify, "zero", "cluster")
 
     p_diag = sub.add_parser("diagonalize", help="joint diagonalizer and induced vectors")
     p_diag.add_argument("matrices", nargs="+", metavar="FILE")
     p_diag.add_argument("--pair", action="store_true",
                         help="with exactly two inputs, also recover the induced "
                              "pair from eigenvalues alone")
-    _add_common(p_diag, "tol_zero", "tol_cluster")
+    _add_common(p_diag, "zero", "cluster")
     return parser
 
 
 # ---------------------------------------------------------------------------
 # shared solve/report path
 
-def _structured_report(spec, result, evidence, tols) -> dict:
+def _structured_report(spec, result, evidence, echo) -> dict:
     # residuals of the x_hat and basis the report carries; the evidence's
     # flags are its own view, on the Drazin candidate
     residuals = {
@@ -247,12 +254,12 @@ def _structured_report(spec, result, evidence, tols) -> dict:
         "normal_certificate": result.normal_certificate,
         "zero_cells": [[int(r), int(c)] for r, c in result.relevant.cells],
         "mode": "structured",
-        "tolerances": tols,
+        "tolerances": echo,
     }
 
 
-def _oracle_report(spec, tols, reason: str) -> dict:
-    sol = oracle.oracle_solve(oracle.vectorize(spec), tols["tol_rank"])
+def _oracle_report(spec, tol, echo, reason: str) -> dict:
+    sol = oracle.oracle_solve(oracle.vectorize(spec), tol.rank)
     warning = (
         "WARNING: structural hypotheses violated "
         f"({reason}); falling back to the brute-force vectorized oracle. "
@@ -268,12 +275,12 @@ def _oracle_report(spec, tols, reason: str) -> dict:
         "diagnostics": [warning],
         "equivalence_checks": None,
         "mode": "oracle",
-        "tolerances": tols,
+        "tolerances": echo,
     }
 
 
 def _cmd_equation(args) -> int:
-    tols = _resolve_tols(args)
+    tol = _tolerances(args)
     command = args.command
     try:
         spec, a_mat, b_mat = _load_spec(args)
@@ -282,28 +289,22 @@ def _cmd_equation(args) -> int:
         return EXIT_ERROR
     extras = {}
     if command in _NAMED_FORMS:
-        extras["formula_count"] = equations.named_form_pair_count(
-            command, a_mat, b_mat, tols["tol_zero"]
-        )
+        extras["formula_count"] = equations.named_form_pair_count(command, a_mat, b_mat, tol)
     try:
         if command in ("clyap", "dlyap"):
-            equations.lyapunov_gate(a_mat, spec.rhs)
-        result = equations.solve(
-            spec, tol_cluster=tols["tol_cluster"], tol_zero=tols["tol_zero"]
-        )
+            equations.lyapunov_gate(a_mat, spec.rhs, tol)
+        result = equations.solve(spec, tol)
     except (HypothesisViolatedError, NotNormalError, NotHermitianRhsError) as exc:
         reason = f"{type(exc).__name__}: {exc}"
         if not args.force_oracle:
             print(f"hypothesis violated: {reason}", file=sys.stderr)
             return EXIT_HYPOTHESIS
-        report = {**_oracle_report(spec, tols, reason), **extras}
+        report = {**_oracle_report(spec, tol, _echo(tol, args), reason), **extras}
         print(report["diagnostics"][0], file=sys.stderr)
         _emit(report, args.out)
         return EXIT_OK if report["consistent"] else EXIT_INCONSISTENT
-    evidence = equations.consistency_evidence(
-        spec, result, tols["tol_res"], tols["tol_rank"], tols["tol_zero"]
-    )
-    _emit({**_structured_report(spec, result, evidence, tols), **extras}, args.out)
+    evidence = equations.consistency_evidence(spec, result)
+    _emit({**_structured_report(spec, result, evidence, _echo(tol, args)), **extras}, args.out)
     return EXIT_OK if result.consistent else EXIT_INCONSISTENT
 
 
@@ -311,7 +312,7 @@ def _cmd_equation(args) -> int:
 # verify
 
 def _cmd_verify(args) -> int:
-    tols = _resolve_tols(args)
+    tol = _tolerances(args)
     if args.trials is None and not (args.a and args.b and args.c):
         print("error: verify needs either --trials or --a/--b/--c files", file=sys.stderr)
         return EXIT_ERROR
@@ -339,9 +340,7 @@ def _cmd_verify(args) -> int:
     checked = 0
     for label, spec in trials:
         try:
-            result = equations.solve(
-                spec, tol_cluster=tols["tol_cluster"], tol_zero=tols["tol_zero"]
-            )
+            result = equations.solve(spec, tol)
         except HypothesisViolatedError as exc:
             print(f"hypothesis violated on {label}: {exc}", file=sys.stderr)
             return EXIT_HYPOTHESIS
@@ -355,7 +354,7 @@ def _cmd_verify(args) -> int:
                    "checked": checked}, args.out)
             return EXIT_MISMATCH
         checked += 1
-    _emit({"agreement": True, "checked": checked, "tolerances": tols}, args.out)
+    _emit({"agreement": True, "checked": checked, "tolerances": _echo(tol, args)}, args.out)
     return EXIT_OK
 
 
@@ -367,7 +366,7 @@ def _complex_pair(z: complex) -> list[float]:
 
 
 def _cmd_diagonalize(args) -> int:
-    tols = _resolve_tols(args)
+    tol = _tolerances(args)
     try:
         mats = [_read(p) for p in args.matrices]
     except _INPUT_ERRORS as exc:
@@ -377,18 +376,15 @@ def _cmd_diagonalize(args) -> int:
         print("error: --pair needs exactly two matrices", file=sys.stderr)
         return EXIT_ERROR
     try:
-        family = validate_family(mats)
-        star = simultaneous_diagonalizer(family, tols["tol_cluster"])
+        star = simultaneous_diagonalizer(validate_family(mats, tol))
         report = {
             "diagonalizer": matrix_payload(star.diagonalizer),
             "induced_vectors": [[_complex_pair(z) for z in v] for v in star.vectors],
             "block_levels": [[[lo, hi] for lo, hi in level] for level in star.levels],
-            "tolerances": tols,
+            "tolerances": _echo(tol, args),
         }
         if args.pair:
-            avec, bvec, collisions, beta = induced_pair_without_diagonalizer(
-                mats[0], mats[1], tol_cluster=tols["tol_cluster"], tol_zero=tols["tol_zero"]
-            )
+            avec, bvec, collisions, beta = induced_pair_without_diagonalizer(mats[0], mats[1], tol)
             report["pair"] = {
                 "a": [_complex_pair(z) for z in avec],
                 "b": [_complex_pair(z) for z in bvec],

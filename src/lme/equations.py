@@ -37,7 +37,7 @@ from .errors import (
 )
 from .matcore import as_matrix, commutes, fro, is_normal, require_square
 from .simdiag import StarSequence, simultaneous_diagonalizer, validate_family
-from .tolerances import TOL_CLUSTER, TOL_COMMUTE, TOL_RANK, TOL_RECON, TOL_RES, TOL_ZERO
+from .tolerances import DEFAULT, TOL_ZERO, Tolerances
 
 __all__ = [
     "EquationSpec",
@@ -226,7 +226,9 @@ class AffineSolutionSet:
     ``consistency_evidence`` compares it with the Drazin candidate.
     ``normal_certificate`` is only set when every input matrix is normal, and
     then records whether all off-diagonal relevant-matrix entries are nonzero
-    (the condition for every solution to be normal).
+    (the condition for every solution to be normal).  ``tolerances`` are the
+    ones ``solve`` decided at; the evidence, the uniqueness report and the
+    oracle comparison reuse them.
     """
 
     consistent: bool
@@ -238,19 +240,21 @@ class AffineSolutionSet:
     normal_certificate: bool | None
     relevant: RelevantMatrix
     star: StarSequence
+    tolerances: Tolerances
 
 
-def x_hat(spec: EquationSpec, tol_zero: float = TOL_ZERO) -> np.ndarray:
+def x_hat(spec: EquationSpec, tol: Tolerances = DEFAULT) -> np.ndarray:
     """Candidate solution (sum_j A_j B_j)^Drazin C; defined for any square
     inputs, a solution exactly when the equation is consistent under the
     commuting-diagonalizable hypothesis.
 
-    The Drazin zero threshold is referenced to the size of the uncancelled
-    products, so a coefficient sum that vanishes up to rounding is treated
-    as the zero matrix instead of being inverted.
+    The Drazin inverse runs at ``tol.zero`` and ``tol.rank``.  Its zero
+    threshold is referenced to the size of the uncancelled products, so a
+    coefficient sum that vanishes up to rounding is treated as the zero
+    matrix instead of being inverted.
     """
     scale = float(sum(fro(a) * fro(b) for a, b in zip(spec.a_list, spec.b_list)))
-    return geninv.drazin(coefficient_sum(spec), tol_zero, scale=scale) @ spec.rhs
+    return geninv.drazin(coefficient_sum(spec), tol.zero, tol.rank, scale=scale) @ spec.rhs
 
 
 def _c_zero_mask(cvec: np.ndarray, tol_zero: float) -> np.ndarray:
@@ -258,30 +262,25 @@ def _c_zero_mask(cvec: np.ndarray, tol_zero: float) -> np.ndarray:
     return np.abs(cvec) <= tol_zero * scale
 
 
-def solve(
-    spec: EquationSpec,
-    tol_commute: float = TOL_COMMUTE,
-    tol_cluster: float = TOL_CLUSTER,
-    tol_zero: float = TOL_ZERO,
-    tol_recon: float = TOL_RECON,
-) -> AffineSolutionSet:
-    """Decide consistency and parametrize the affine solution set.
+def solve(spec: EquationSpec, tol: Tolerances = DEFAULT) -> AffineSolutionSet:
+    """Decide consistency and parametrize the affine solution set; every
+    threshold is read from ``tol``, which the result keeps.
 
     Raises HypothesisViolatedError when the parameter matrices do not form a
     commuting family of diagonalizable matrices; that case is outside this
     solver's scope and belongs to the brute-force oracle.
     """
     try:
-        family = validate_family(spec.members(), tol_commute, tol_recon)
+        family = validate_family(spec.members(), tol)
     except LmeError as exc:
         raise HypothesisViolatedError(exc) from exc
-    star = simultaneous_diagonalizer(family, tol_cluster, tol_recon)
+    star = simultaneous_diagonalizer(family)
     k = spec.k
     avecs = star.vectors[:k]
     bvecs = star.vectors[k:2 * k]
     cvec = star.vectors[2 * k]
-    rel = relevant_matrix(avecs, bvecs, cvec, tol_zero)
-    c_zero = _c_zero_mask(cvec, tol_zero)
+    rel = relevant_matrix(avecs, bvecs, cvec, tol.zero)
+    c_zero = _c_zero_mask(cvec, tol.zero)
     diag_zero = np.diag(rel.zero_mask)
     witness = None
     for r in range(spec.n):
@@ -298,7 +297,7 @@ def solve(
     x = (s * d) @ s_inv
     basis = FactoredBasis(s, s_inv, *np.nonzero(rel.zero_mask))
     certificate = None
-    if all(is_normal(m, tol_commute) for m in family.members):
+    if all(is_normal(m, tol.commute) for m in family.members):
         off = rel.zero_mask.copy()
         np.fill_diagonal(off, False)
         certificate = not bool(off.any())
@@ -312,6 +311,7 @@ def solve(
         normal_certificate=certificate,
         relevant=rel,
         star=star,
+        tolerances=tol,
     )
 
 
@@ -365,28 +365,24 @@ def _column_space_consistent(w: np.ndarray, c: np.ndarray, tol_rank: float) -> b
     return r_w == r_aug
 
 
-def consistency_evidence(
-    spec: EquationSpec,
-    result: AffineSolutionSet,
-    tol_res: float = TOL_RES,
-    tol_rank: float = TOL_RANK,
-    tol_zero: float = TOL_ZERO,
-) -> ConsistencyEvidence:
+def consistency_evidence(spec: EquationSpec, result: AffineSolutionSet) -> ConsistencyEvidence:
     """All equivalent views of consistency for the result ``solve`` returned
-    on ``spec``, evaluated independently: the diagonal rule on the relevant
-    matrix, the residual of the Drazin candidate ``x_hat(spec, tol_zero)`` in
-    the equation itself, a rank test on the attached standard equation, and
-    the candidate's residual in the standard equation.  A diagnostic is added
-    when the Drazin candidate and ``result.x_hat`` (read off the eigenbasis)
-    differ by more than ``tol_res``, relative."""
-    xh = x_hat(spec, tol_zero)
+    on ``spec``, evaluated independently at ``result.tolerances``: the
+    diagonal rule on the relevant matrix, the residual of the Drazin
+    candidate ``x_hat`` in the equation itself, a rank test on the attached
+    standard equation, and the candidate's residual in the standard
+    equation.  A diagnostic is added when the Drazin candidate and
+    ``result.x_hat`` (read off the eigenbasis) differ by more than the
+    ``res`` tolerance, relative."""
+    tol = result.tolerances
+    xh = x_hat(spec, tol)
     res_eq = equation_residual(spec, xh)
-    bound = tol_res * max(1.0, fro(spec.rhs))
+    bound = tol.res * max(1.0, fro(spec.rhs))
     w = coefficient_sum(spec)
     res_std = fro(w @ xh - spec.rhs)
     ev_diag = result.consistent
     ev_eq = res_eq <= bound
-    ev_std_rank = _column_space_consistent(w, spec.rhs, tol_rank)
+    ev_std_rank = _column_space_consistent(w, spec.rhs, tol.rank)
     ev_std_res = res_std <= bound
     diagnostics: list[str] = []
     if not (ev_diag == ev_eq == ev_std_rank == ev_std_res):
@@ -397,7 +393,7 @@ def consistency_evidence(
             "this indicates numerical conditioning trouble, not a verdict"
         )
     gap = fro(result.x_hat - xh)
-    if gap > tol_res * max(1.0, fro(xh)):
+    if gap > tol.res * max(1.0, fro(xh)):
         diagnostics.append(
             f"the eigenbasis candidate differs from the Drazin candidate by {gap:.3e} "
             "(Frobenius norm); the joint eigenbasis may be ill-conditioned"
@@ -414,24 +410,15 @@ def consistency_evidence(
     )
 
 
-def check_consistent(
-    spec: EquationSpec,
-    tol_commute: float = TOL_COMMUTE,
-    tol_cluster: float = TOL_CLUSTER,
-    tol_zero: float = TOL_ZERO,
-    tol_res: float = TOL_RES,
-    tol_rank: float = TOL_RANK,
-    tol_recon: float = TOL_RECON,
-) -> tuple[bool, ConsistencyEvidence]:
-    """Consistency verdict plus its ``consistency_evidence``."""
-    result = solve(spec, tol_commute, tol_cluster, tol_zero, tol_recon)
-    evidence = consistency_evidence(spec, result, tol_res, tol_rank, tol_zero)
+def check_consistent(spec: EquationSpec, tol: Tolerances = DEFAULT) -> tuple[bool, ConsistencyEvidence]:
+    """Consistency verdict plus its ``consistency_evidence``, both at ``tol``."""
+    evidence = consistency_evidence(spec, solve(spec, tol))
     return evidence.consistent, evidence
 
 
-def solve_standard(spec: EquationSpec, **tol_kwargs) -> AffineSolutionSet:
+def solve_standard(spec: EquationSpec, tol: Tolerances = DEFAULT) -> AffineSolutionSet:
     """Solve the attached standard equation (sum_j A_j B_j) X = C."""
-    return solve(standard_spec(spec), **tol_kwargs)
+    return solve(standard_spec(spec), tol)
 
 
 def named_form_spec(kind: str, a, c, b=None) -> EquationSpec:
@@ -452,52 +439,52 @@ def named_form_spec(kind: str, a, c, b=None) -> EquationSpec:
     return equation_spec([a, -eye], [b, eye], c)
 
 
-def solve_sylvester(a, b, c, **tol_kwargs) -> AffineSolutionSet:
+def solve_sylvester(a, b, c, tol: Tolerances = DEFAULT) -> AffineSolutionSet:
     """A X + X B = C for a commuting diagonalizable triple; the solution-set
     dimension equals the number of index pairs with a_r + b_s = 0."""
-    return solve(named_form_spec("sylvester", a, c, b), **tol_kwargs)
+    return solve(named_form_spec("sylvester", a, c, b), tol)
 
 
-def solve_stein(a, b, c, **tol_kwargs) -> AffineSolutionSet:
+def solve_stein(a, b, c, tol: Tolerances = DEFAULT) -> AffineSolutionSet:
     """A X B - X = C for a commuting diagonalizable triple; the solution-set
     dimension equals the number of index pairs with a_r b_s = 1."""
-    return solve(named_form_spec("stein", a, c, b), **tol_kwargs)
+    return solve(named_form_spec("stein", a, c, b), tol)
 
 
-def lyapunov_gate(a, c, tol_commute: float = TOL_COMMUTE):
+def lyapunov_gate(a, c, tol: Tolerances = DEFAULT):
     """Raise unless A is normal and C Hermitian (the Lyapunov preconditions);
     return both as validated square matrices."""
     a = require_square(as_matrix(a, "A"), "A")
     c = require_square(as_matrix(c, "C"), "C")
     if a.shape != c.shape:
         raise DimensionMismatchError(f"shapes differ: {a.shape} vs {c.shape}")
-    if not is_normal(a, tol_commute):
+    if not is_normal(a, tol.commute):
         raise NotNormalError("A must be a normal matrix")
-    if fro(c - c.conj().T) > tol_commute * max(1.0, fro(c)):
+    if fro(c - c.conj().T) > tol.commute * max(1.0, fro(c)):
         raise NotHermitianRhsError("C must be Hermitian")
     return a, c
 
 
-def solve_continuous_lyapunov(a, c, tol_commute: float = TOL_COMMUTE, **tol_kwargs) -> AffineSolutionSet:
+def solve_continuous_lyapunov(a, c, tol: Tolerances = DEFAULT) -> AffineSolutionSet:
     """A* X + X A = C with A normal, C Hermitian and AC = CA.
 
     The adjoint is formed internally; the dimension of the solution set is
     the number of pairs with conj(a_r) + a_s = 0.  Whether every solution is
     normal is recorded in the result's ``normal_certificate``.
     """
-    a, c = lyapunov_gate(a, c, tol_commute)
-    return solve(named_form_spec("clyap", a, c), tol_commute=tol_commute, **tol_kwargs)
+    a, c = lyapunov_gate(a, c, tol)
+    return solve(named_form_spec("clyap", a, c), tol)
 
 
-def solve_discrete_lyapunov(a, c, tol_commute: float = TOL_COMMUTE, **tol_kwargs) -> AffineSolutionSet:
+def solve_discrete_lyapunov(a, c, tol: Tolerances = DEFAULT) -> AffineSolutionSet:
     """A* X A - X = C with A normal, C Hermitian and AC = CA.
 
     The dimension of the solution set is the number of pairs with
     conj(a_r) a_s = 1; the normality of all solutions is recorded in
     ``normal_certificate``.
     """
-    a, c = lyapunov_gate(a, c, tol_commute)
-    return solve(named_form_spec("dlyap", a, c), tol_commute=tol_commute, **tol_kwargs)
+    a, c = lyapunov_gate(a, c, tol)
+    return solve(named_form_spec("dlyap", a, c), tol)
 
 
 @dataclass(frozen=True)
@@ -513,33 +500,28 @@ class UniquenessReport:
     candidate_commutation: tuple[bool, ...] | None = None
 
 
-def uniqueness_report(
-    result: AffineSolutionSet,
-    spec: EquationSpec,
-    candidate=None,
-    tol_commute: float = TOL_COMMUTE,
-    tol_res: float = TOL_RES,
-    tol_rank: float = TOL_RANK,
-) -> UniquenessReport:
+def uniqueness_report(result: AffineSolutionSet, spec: EquationSpec, candidate=None) -> UniquenessReport:
     """Classify the solution set of a consistent result as unique or infinite
     and, when the coefficient sum is invertible and a candidate solution is
     supplied, check whether the candidate commutes with each parameter matrix
-    (any solution other than the canonical one cannot commute with all)."""
+    (any solution other than the canonical one cannot commute with all).
+    Every test runs at ``result.tolerances``."""
     if not result.consistent:
         raise InconsistentInputError("uniqueness analysis needs a consistent result")
+    tol = result.tolerances
     w = coefficient_sum(spec)
-    invertible = geninv.matrix_rank(w, tol_rank) == spec.n
+    invertible = geninv.matrix_rank(w, tol.rank) == spec.n
     unique = result.dimension == 0
     report_kwargs: dict = {}
     if candidate is not None:
         xc = require_square(as_matrix(candidate, "candidate"), "candidate")
         res = equation_residual(spec, xc)
-        report_kwargs["candidate_is_solution"] = res <= tol_res * max(1.0, fro(spec.rhs))
+        report_kwargs["candidate_is_solution"] = res <= tol.res * max(1.0, fro(spec.rhs))
         report_kwargs["candidate_equals_x_hat"] = (
-            fro(xc - result.x_hat) <= tol_res * max(1.0, fro(result.x_hat))
+            fro(xc - result.x_hat) <= tol.res * max(1.0, fro(result.x_hat))
         )
         report_kwargs["candidate_commutation"] = tuple(
-            commutes(xc, m, tol_commute) for m in (*spec.a_list, *spec.b_list)
+            commutes(xc, m, tol.commute) for m in (*spec.a_list, *spec.b_list)
         )
     return UniquenessReport(
         unique=unique,
@@ -550,7 +532,7 @@ def uniqueness_report(
     )
 
 
-def named_form_pair_count(kind: str, a, b=None, tol_zero: float = TOL_ZERO) -> int:
+def named_form_pair_count(kind: str, a, b=None, tol: Tolerances = DEFAULT) -> int:
     """Eigenvalue-pair cardinality behind the named-form dimension formulas,
     evaluated directly from eigenvalues (no commutation hypotheses needed):
     sylvester counts a_r + b_s = 0, stein counts a_r b_s = 1, clyap counts
@@ -573,4 +555,4 @@ def named_form_pair_count(kind: str, a, b=None, tol_zero: float = TOL_ZERO) -> i
         scale = max(1.0, float(np.max(np.abs(wa)) ** 2))
     else:
         raise ValueError(f"unknown named form {kind!r}")
-    return int(np.count_nonzero(np.abs(grid) <= tol_zero * scale))
+    return int(np.count_nonzero(np.abs(grid) <= tol.zero * scale))

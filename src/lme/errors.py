@@ -41,6 +41,7 @@ class NotDiagonalizableError(LmeError):
 
     def __init__(self, i: int = 0, detail: str = ""):
         self.i = i
+        self.detail = detail
         suffix = f": {detail}" if detail else ""
         super().__init__(f"member {i} is not diagonalizable{suffix}")
 

@@ -109,37 +109,27 @@ def core_nilpotent(
     thresh = tol_zero * base
     eigs = np.linalg.eigvals(m)
     if n and np.max(np.abs(eigs)) <= thresh:
-        t, z = scipy.linalg.schur(m, output="complex")
-        nil = t.copy()
-        diag = np.diag(nil).copy()
-        diag[np.abs(diag) <= thresh] = 0.0
-        np.fill_diagonal(nil, diag)
-        return CoreNilpotentDecomposition(z, np.zeros((0, 0), dtype=complex), nil, 0)
-    q = index(m, tol_rank)
-    if q == 0:
-        t, z = scipy.linalg.schur(m, output="complex")
-        return CoreNilpotentDecomposition(z, t, np.zeros((0, 0), dtype=complex), n)
-    core_size = matrix_rank(np.linalg.matrix_power(m, q), tol_rank)
-    if core_size == 0:
-        t, z = scipy.linalg.schur(m, output="complex")
-        nil = t.copy()
-        diag = np.diag(nil).copy()
-        diag[np.abs(diag) <= thresh] = 0.0
-        np.fill_diagonal(nil, diag)
-        return CoreNilpotentDecomposition(z, np.zeros((0, 0), dtype=complex), nil, 0)
-    moduli = np.sort(np.abs(eigs))[::-1]
-    hi, lo = moduli[core_size - 1], moduli[core_size]
-    if hi > 2.0 * lo:
-        cutoff = np.sqrt(hi * max(lo, 1e-300 * hi)) if lo > 0 else hi / 2.0
+        core_size = 0  # all nilpotent; no rank test needed
     else:
-        cutoff = thresh  # no usable gap; fall back to the plain threshold
-    t, z, sdim = scipy.linalg.schur(m, output="complex", sort=lambda lam: abs(lam) > cutoff)
-    k = int(sdim)
+        q = index(m, tol_rank)
+        core_size = matrix_rank(np.linalg.matrix_power(m, q), tol_rank) if q else n
+    if core_size in (0, n):
+        # all nilpotent or all core: the plain Schur form is already split
+        t, z = scipy.linalg.schur(m, output="complex")
+        k = core_size
+    else:
+        moduli = np.sort(np.abs(eigs))[::-1]
+        hi, lo = moduli[core_size - 1], moduli[core_size]
+        if hi > 2.0 * lo:
+            cutoff = np.sqrt(hi * max(lo, 1e-300 * hi)) if lo > 0 else hi / 2.0
+        else:
+            cutoff = thresh  # no usable gap; fall back to the plain threshold
+        t, z, sdim = scipy.linalg.schur(m, output="complex", sort=lambda lam: abs(lam) > cutoff)
+        k = int(sdim)
     core = t[:k, :k].copy()
     nil = t[k:, k:].copy()
-    diag = np.diag(nil).copy()
-    diag[np.abs(diag) <= thresh] = 0.0
-    np.fill_diagonal(nil, diag)
+    small = np.flatnonzero(np.abs(np.diag(nil)) <= thresh)
+    nil[small, small] = 0.0
     similarity = z
     if 0 < k < n:
         coupling = t[:k, k:]

@@ -102,13 +102,20 @@ def oracle_solve(system: VectorizedSystem, tol_rank: float = TOL_RANK) -> Oracle
     )
 
 
-def compare(result: AffineSolutionSet, system: VectorizedSystem, tol: float = 1e-7) -> ComparisonReport:
-    """Referee the structured result against the vectorized system: equal
-    consistency verdicts, equal dimensions, every structured basis matrix in
-    the oracle nullspace, and the candidate solution satisfying the system
-    when consistent.  Raises OracleMismatchError on the first failing check
-    set, with every failure listed."""
-    sol = oracle_solve(system)
+def compare(
+    result: AffineSolutionSet, system: VectorizedSystem, tol: float | None = None
+) -> ComparisonReport:
+    """Referee the structured result against the vectorized system at the
+    result's own tolerances: equal consistency verdicts and equal dimensions
+    (the oracle's rank test at ``result.tolerances.rank``), every structured
+    basis matrix in the oracle nullspace, and the candidate solution
+    satisfying the system when consistent.  Both relative residuals are
+    accepted up to ``tol``, by default ``result.tolerances.res``.  Raises
+    OracleMismatchError on the first failing check set, with every failure
+    listed."""
+    sol = oracle_solve(system, result.tolerances.rank)
+    if tol is None:
+        tol = result.tolerances.res
     failures: list[str] = []
     if sol.consistent != result.consistent:
         failures.append(

@@ -42,7 +42,7 @@ from .matcore import (
     fro,
     require_square,
 )
-from .tolerances import TOL_CLUSTER, TOL_COMMUTE, TOL_RECON, TOL_ZERO
+from .tolerances import DEFAULT, TOL_CLUSTER, Tolerances
 
 __all__ = [
     "CommutingFamily",
@@ -61,12 +61,12 @@ __all__ = [
 @dataclass(frozen=True)
 class CommutingFamily:
     """An ordered, validated family of pairwise-commuting diagonalizable
-    matrices of a common size, with the joint eigenbasis that
-    ``validate_family`` found for it (None for a family built by hand)."""
+    matrices of a common size, with the tolerances it was validated at and
+    the joint eigenbasis that ``validate_family`` found for it."""
 
     members: tuple[np.ndarray, ...]
-    tol: float
-    eigenbasis: JointEigenbasis | None = field(default=None, repr=False, compare=False)
+    tol: Tolerances
+    eigenbasis: JointEigenbasis = field(repr=False, compare=False)
 
     @property
     def size(self) -> int:
@@ -92,8 +92,8 @@ class StarSequence:
     diagonalizer: np.ndarray
     vectors: tuple[np.ndarray, ...]
     levels: tuple[tuple[tuple[int, int], ...], ...]
-    inverse: np.ndarray | None = field(default=None, repr=False, compare=False)
-    diagonals: tuple[np.ndarray, ...] | None = field(default=None, repr=False, compare=False)
+    inverse: np.ndarray = field(repr=False, compare=False)
+    diagonals: tuple[np.ndarray, ...] = field(repr=False, compare=False)
 
     @property
     def leaf_blocks(self) -> tuple[tuple[int, int], ...]:
@@ -111,10 +111,11 @@ class CommutantDescription:
     dimension: int
 
 
-def validate_family(members, tol: float = TOL_COMMUTE, tol_recon: float = TOL_RECON) -> CommutingFamily:
+def validate_family(members, tol: Tolerances = DEFAULT) -> CommutingFamily:
     """Check that the members commute pairwise and share one eigenbasis,
-    which is kept on the result.  When there is none, the first member that
-    is not diagonalizable on its own is named."""
+    which is kept on the result together with ``tol``.  When there is none,
+    the first member that is not diagonalizable on its own is named, with
+    the reason its own eigenbasis failed."""
     mats = [require_square(as_matrix(m, f"member {i}"), f"member {i}") for i, m in enumerate(members)]
     if not mats:
         raise EmptyListError("family must contain at least one matrix")
@@ -124,46 +125,43 @@ def validate_family(members, tol: float = TOL_COMMUTE, tol_recon: float = TOL_RE
             raise DimensionMismatchError(f"member {i} has size {m.shape[0]}, expected {n}")
     for i in range(len(mats)):
         for j in range(i + 1, len(mats)):
-            if not commutes(mats[i], mats[j], tol):
+            if not commutes(mats[i], mats[j], tol.commute):
                 resid = fro(mats[i] @ mats[j] - mats[j] @ mats[i])
                 denom = max(1.0, fro(mats[i]) * fro(mats[j]))
                 raise NotCommutingError(i, j, resid / denom)
+    # Group the combination's eigenvalues no wider than recon accepts: QR over
+    # two values delta apart leaves off-diagonal mass ~ delta cot(theta).
+    # simultaneous_diagonalizer merges near-equal values at tol.cluster.
+    group_gap = min(tol.cluster, tol.recon)
     try:
-        basis = _joint_eigenbasis(mats, tol_recon)
+        basis = _joint_eigenbasis(mats, tol.recon, group_gap)
     except NotDiagonalizableError as exc:
         for i, m in enumerate(mats):
             try:
-                _joint_eigenbasis([m], tol_recon)
-            except NotDiagonalizableError:
-                raise NotDiagonalizableError(i) from None
+                _joint_eigenbasis([m], tol.recon, group_gap)
+            except NotDiagonalizableError as own:
+                raise NotDiagonalizableError(i, own.detail) from None
         raise RefinementFailureError(
             "the members are diagonalizable one by one but share no eigenbasis within tolerance"
         ) from exc
     return CommutingFamily(tuple(mats), tol, basis)
 
 
-def simultaneous_diagonalizer(
-    family: CommutingFamily,
-    tol_cluster: float = TOL_CLUSTER,
-    tol_recon: float = TOL_RECON,
-) -> StarSequence:
+def simultaneous_diagonalizer(family: CommutingFamily) -> StarSequence:
     """Joint diagonalizer whose induced vectors form a star sequence.
 
     No eigensolve runs here: the diagonal of S^{-1} M_j S in the family's
-    joint eigenbasis is clustered at the ``tol_cluster`` gap and replaced by
-    the cluster means.  Columns are sorted lexicographically by the canonical
-    cluster ranks, member 0 first; ``levels[j]`` are the runs of equal ranks
-    of members 0..j.  ``tol_recon`` applies only to a family built by hand,
-    whose eigenbasis is computed here.
+    joint eigenbasis is clustered at the gap of the family's
+    ``tol.cluster`` and replaced by the cluster means.  Columns are sorted
+    lexicographically by the canonical cluster ranks, member 0 first;
+    ``levels[j]`` are the runs of equal ranks of members 0..j.
     """
     basis = family.eigenbasis
-    if basis is None:
-        basis = _joint_eigenbasis(family.members, tol_recon, tol_cluster)
     n = family.size
     ranks = np.empty((len(family), n), dtype=int)
     vectors = np.empty((len(family), n), dtype=complex)
     for j, (m, d) in enumerate(zip(family.members, basis.diagonals)):
-        for rank, group in enumerate(cluster_values(d, tol_cluster * max(1.0, fro(m)))):
+        for rank, group in enumerate(cluster_values(d, family.tol.cluster * max(1.0, fro(m)))):
             ranks[j, group] = rank
             vectors[j, group] = d[group].mean()
     order = np.lexsort(ranks[::-1])
@@ -182,21 +180,15 @@ def simultaneous_diagonalizer(
     )
 
 
-def _single_star(m, tol_cluster, tol_recon) -> StarSequence:
-    """Star sequence of the one-member family {m}."""
-    a = require_square(as_matrix(m))
-    return simultaneous_diagonalizer(CommutingFamily((a,), TOL_COMMUTE), tol_cluster, tol_recon)
-
-
-def star_vector_of(m, tol_cluster: float = TOL_CLUSTER, tol_recon: float = TOL_RECON) -> np.ndarray:
+def star_vector_of(m, tol: Tolerances = DEFAULT) -> np.ndarray:
     """Eigenvalues of a diagonalizable matrix arranged as a star vector:
     equal values contiguous, blocks in canonical order."""
-    return _single_star(m, tol_cluster, tol_recon).vectors[0]
+    return simultaneous_diagonalizer(validate_family([m], tol)).vectors[0]
 
 
 def induced_vectors(family: CommutingFamily, s) -> list[np.ndarray]:
     """Diagonals of S^{-1} M S for each member, after checking that S really
-    diagonalizes every member at the family tolerance."""
+    diagonalizes every member at the family's commutation tolerance."""
     smat = require_square(as_matrix(s, "S"), "S")
     if smat.shape[0] != family.size:
         raise DimensionMismatchError("diagonalizer size does not match family")
@@ -204,7 +196,7 @@ def induced_vectors(family: CommutingFamily, s) -> list[np.ndarray]:
     for i, m in enumerate(family.members):
         d = np.linalg.solve(smat, m @ smat)
         off_mass = fro(d - np.diag(np.diag(d)))
-        if off_mass > family.tol * max(1.0, fro(m)):
+        if off_mass > family.tol.commute * max(1.0, fro(m)):
             raise NotADiagonalizerError(i, off_mass)
         out.append(np.diag(d).copy())
     return out
@@ -250,10 +242,10 @@ def match_induced_sequences(seq1, seq2, tol: float = TOL_CLUSTER) -> Permutation
     return Permutation(tuple(image))
 
 
-def commutant(m, tol_cluster: float = TOL_CLUSTER, tol_recon: float = TOL_RECON) -> CommutantDescription:
+def commutant(m, tol: Tolerances = DEFAULT) -> CommutantDescription:
     """Block description and dimension of the space of matrices commuting
     with a diagonalizable matrix."""
-    star = _single_star(m, tol_cluster, tol_recon)
+    star = simultaneous_diagonalizer(validate_family([m], tol))
     sizes = tuple(hi - lo for lo, hi in star.leaf_blocks)
     return CommutantDescription(star.diagonalizer, sizes, sum(k * k for k in sizes))
 
@@ -278,13 +270,7 @@ def _multiset_pick(candidates, pool, pool_used, gap):
     return matched
 
 
-def induced_pair_without_diagonalizer(
-    a,
-    b,
-    tol: float = TOL_COMMUTE,
-    tol_cluster: float = TOL_CLUSTER,
-    tol_zero: float = TOL_ZERO,
-):
+def induced_pair_without_diagonalizer(a, b, tol: Tolerances = DEFAULT):
     """Compatible eigenvalue ordering for two commuting diagonalizable
     matrices, computed from eigenvalues alone.
 
@@ -302,7 +288,7 @@ def induced_pair_without_diagonalizer(
     bmat = require_square(as_matrix(b, "B"), "B")
     family = validate_family([amat, bmat], tol)
     n = family.size
-    star = simultaneous_diagonalizer(family, tol_cluster)
+    star = simultaneous_diagonalizer(family)
     avec = star.vectors[0]
     scale_a = max(1.0, fro(amat))
     scale_b = max(1.0, fro(bmat))
@@ -311,7 +297,7 @@ def induced_pair_without_diagonalizer(
     reps: list[complex] = []
     sizes: list[int] = []
     for value in avec:
-        if reps and abs(value - reps[-1]) <= tol_cluster * scale_a:
+        if reps and abs(value - reps[-1]) <= tol.cluster * scale_a:
             sizes[-1] += 1
         else:
             reps.append(complex(value))
@@ -328,17 +314,17 @@ def induced_pair_without_diagonalizer(
     collisions = ((lam_s * b_eigs[i_idx] - lam_r * b_eigs[j_idx]) / (lam_r - lam_s)).ravel()
     collision_set = [
         complex(collisions[group].mean())
-        for group in cluster_values(collisions, tol_cluster * scale_b)
+        for group in cluster_values(collisions, tol.cluster * scale_b)
     ]
     beta = 1.0 + max((abs(z) for z in collision_set), default=0.0)
 
-    gap = tol_cluster * scale_b
+    gap = tol.cluster * scale_b
     pool = list(b_eigs)
     pool_used = [False] * n
     blocks: dict[int, list[complex]] = {}
     zero_block = None
     for q, lam_q in enumerate(reps):
-        if abs(lam_q) <= tol_zero * scale_a:
+        if abs(lam_q) <= tol.zero * scale_a:
             if zero_block is not None:
                 raise IntersectionAmbiguousError("multiple zero eigenvalue blocks")
             zero_block = q
@@ -370,7 +356,7 @@ def induced_pair_without_diagonalizer(
         off += sizes[q]
 
     try:
-        match_induced_sequences([star.vectors[0], star.vectors[1]], [avec, bvec], tol_cluster)
+        match_induced_sequences([star.vectors[0], star.vectors[1]], [avec, bvec], tol.cluster)
     except NoMatchingPermutationError as exc:
         raise IntersectionAmbiguousError(
             f"assembled pair failed cross-validation: {exc}"

@@ -40,7 +40,7 @@ from lme.instances import (
 )
 from lme.matcore import commutes, fro, is_normal
 from lme.oracle import compare, oracle_solve, vectorize
-from lme.tolerances import TOL_RES
+from lme.tolerances import TOL_RES, Tolerances
 
 HOMOG_A = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 1]], dtype=complex)
 HOMOG_B = np.array([[1, -1, 0], [-1, 1, 0], [0, 0, 2]], dtype=complex)
@@ -337,12 +337,12 @@ class TestCheckConsistent:
         seen = []
         original = lme.equations.validate_family
 
-        def recording(members, tol, tol_recon):
-            seen.append(tol_recon)
-            return original(members, tol, tol_recon)
+        def recording(members, tol):
+            seen.append(tol.recon)
+            return original(members, tol)
 
         monkeypatch.setattr(lme.equations, "validate_family", recording)
-        check_consistent(homogeneous_spec(), tol_recon=3e-7)
+        check_consistent(homogeneous_spec(), Tolerances(recon=3e-7))
         assert seen == [3e-7]
 
     def test_homogeneous_example_all_agree(self):

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from lme.equations import equation_spec, solve, standard_spec
+from lme.equations import equation_spec, named_form_spec, solve, solve_sylvester, standard_spec
 from lme.errors import OracleMismatchError
-from lme.instances import random_equation_instance
+from lme.instances import random_diagonalizer, random_equation_instance
 from lme.oracle import compare, oracle_solve, vectorize
+from lme.tolerances import Tolerances
 
 HOMOG_A = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 1]], dtype=complex)
 HOMOG_B = np.array([[1, -1, 0], [-1, 1, 0], [0, 0, 2]], dtype=complex)
@@ -117,3 +118,26 @@ class TestCompare:
         with pytest.raises(OracleMismatchError) as exc:
             compare(corrupted, vectorize(spec))
         assert any("nullspace" in f for f in exc.value.failures)
+
+    def test_referees_at_the_result_tolerances(self):
+        # eigenvalue pairs 1e-10 apart, kept apart by tolerances below that
+        # split: solve and the oracle's rank test both see dimension 2, where
+        # a rank test at the default 1e-10 sees 4
+        s = random_diagonalizer(np.random.default_rng(3), 4, 10.0)
+        s_inv = np.linalg.inv(s)
+        a = s @ np.diag([1, 1 + 1e-10, 2, 3]) @ s_inv
+        b = s @ np.diag([-1, -1 - 1e-10, 5, 7]) @ s_inv
+        c = s @ np.diag([0, 0, 1, 1]) @ s_inv
+        tol = Tolerances(cluster=1e-13, zero=1e-13, rank=1e-13)
+        result = solve_sylvester(a, b, c, tol)
+        system = vectorize(named_form_spec("sylvester", a, c, b))
+        assert result.dimension == 2
+        assert oracle_solve(system, 1e-13).dimension == 2
+        assert compare(result, system).dimension == 2
+
+    def test_default_acceptance_is_the_result_res(self):
+        spec, _ = random_equation_instance(np.random.default_rng(8), 4, 2, zero_diag_rows=1)
+        compare(solve(spec), vectorize(spec))
+        with pytest.raises(OracleMismatchError):
+            compare(solve(spec, Tolerances(res=1e-30)), vectorize(spec))
+        compare(solve(spec, Tolerances(res=1e-30)), vectorize(spec), tol=1e-7)

@@ -31,7 +31,7 @@ from lme.simdiag import (
     star_vector_of,
     validate_family,
 )
-from lme.tolerances import TOL_CLUSTER, TOL_RECON
+from lme.tolerances import TOL_CLUSTER, TOL_RECON, Tolerances
 
 HOMOG_A = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 1]], dtype=complex)
 HOMOG_B = np.array([[1, -1, 0], [-1, 1, 0], [0, 0, 2]], dtype=complex)
@@ -72,12 +72,20 @@ class TestValidateFamily:
             validate_family([np.eye(2), JORDAN])
         assert exc.value.i == 1
 
+    def test_not_diagonalizable_keeps_the_member_reason(self):
+        for call, member in ((lambda: star_vector_of(JORDAN), 0),
+                             (lambda: validate_family([np.eye(2), JORDAN]), 1)):
+            with pytest.raises(NotDiagonalizableError) as exc:
+                call()
+            assert str(exc.value).startswith(f"member {member} is not diagonalizable: ")
+            assert "off-diagonal mass" in str(exc.value)
+
     def test_no_joint_eigenbasis(self):
         # two diagonalizable members that a loose gate lets through as
         # commuting, but that share no eigenbasis
         b = np.array([[1, 1e-3], [0, 2]], dtype=complex)
         with pytest.raises(RefinementFailureError):
-            validate_family([np.diag([1.0, 2.0]), b], tol=1e-2)
+            validate_family([np.diag([1.0, 2.0]), b], tol=Tolerances(commute=1e-2))
 
     def test_fallback_weights_when_eigenspaces_collide(self):
         # B is built against the first weights: mu_0 A + mu_1 B has the
@@ -92,6 +100,19 @@ class TestValidateFamily:
             _eigenbasis_of_mix([a, b], _MIX_SEED, TOL_RECON, TOL_CLUSTER)
         validate_family([a, b])
         assert solve(equation_spec([a], [b], np.zeros((3, 3)))).dimension == 5
+
+    def test_loose_cluster_merges_near_equal_eigenvalues(self):
+        # a cluster gap above recon still groups the joint eigensolve at
+        # recon, so 1 and 1 + 1e-6 are merged afterwards instead of leaving
+        # off-diagonal mass that rejects A as not diagonalizable
+        s = random_diagonalizer(np.random.default_rng(0), 3, 10.0)
+        a = s @ np.diag([1, 1 + 1e-6, 2]) @ np.linalg.inv(s)
+        spec = equation_spec([a, np.eye(3)], [np.eye(3), -a], np.zeros((3, 3)))
+        loose = Tolerances(cluster=1e-5)
+        assert solve(spec).dimension == 3
+        assert solve(spec, loose).dimension == 5
+        v = star_vector_of(a, loose)
+        assert v[0] == v[1] and abs(v[0] - 1) < 1e-6
 
 
 class TestStarVector:
