@@ -533,26 +533,13 @@ def uniqueness_report(result: AffineSolutionSet, spec: EquationSpec, candidate=N
 
 
 def named_form_pair_count(kind: str, a, b=None, tol: Tolerances = DEFAULT) -> int:
-    """Eigenvalue-pair cardinality behind the named-form dimension formulas,
-    evaluated directly from eigenvalues (no commutation hypotheses needed):
-    sylvester counts a_r + b_s = 0, stein counts a_r b_s = 1, clyap counts
-    conj(a_r) + a_s = 0 and dlyap counts conj(a_r) a_s = 1."""
+    """Eigenvalue-pair cardinality behind the named-form dimension formulas:
+    the zero count of the relevant matrix of ``named_form_spec``, built from
+    each term matrix's own eigenvalues.  Each term has one non-scalar factor,
+    so no commutation hypothesis is needed.  sylvester counts a_r + b_s = 0,
+    stein counts a_r b_s = 1, clyap counts conj(a_r) + a_s = 0 and dlyap
+    counts conj(a_r) a_s = 1."""
     amat = require_square(as_matrix(a, "A"), "A")
-    wa = np.linalg.eigvals(amat)
-    if kind == "sylvester":
-        wb = np.linalg.eigvals(require_square(as_matrix(b, "B"), "B"))
-        grid = wa[:, None] + wb[None, :]
-        scale = max(1.0, float(np.max(np.abs(wa)) + np.max(np.abs(wb))))
-    elif kind == "stein":
-        wb = np.linalg.eigvals(require_square(as_matrix(b, "B"), "B"))
-        grid = wa[:, None] * wb[None, :] - 1.0
-        scale = max(1.0, float(np.max(np.abs(wa)) * np.max(np.abs(wb))))
-    elif kind == "clyap":
-        grid = np.conj(wa)[:, None] + wa[None, :]
-        scale = max(1.0, 2.0 * float(np.max(np.abs(wa))))
-    elif kind == "dlyap":
-        grid = np.conj(wa)[:, None] * wa[None, :] - 1.0
-        scale = max(1.0, float(np.max(np.abs(wa)) ** 2))
-    else:
-        raise ValueError(f"unknown named form {kind!r}")
-    return int(np.count_nonzero(np.abs(grid) <= tol.zero * scale))
+    spec = named_form_spec(kind, amat, np.zeros_like(amat), b)
+    eigs = [np.linalg.eigvals(m) for m in (*spec.a_list, *spec.b_list)]
+    return relevant_matrix(eigs[:spec.k], eigs[spec.k:], np.zeros(spec.n), tol.zero).zero_count

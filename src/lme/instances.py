@@ -21,7 +21,6 @@ __all__ = [
     "random_eigenvalue_vector",
     "random_family",
     "random_equation_instance",
-    "random_diagonalizable",
     "random_normal",
     "random_index2",
     "random_commuting_triple",
@@ -120,24 +119,6 @@ def random_equation_instance(
     )
     info = {"S": s, "a_vectors": avecs, "b_vectors": bvecs, "c_vector": cvec}
     return spec, info
-
-
-def random_diagonalizable(rng: np.random.Generator, n: int, multiplicities=None) -> np.ndarray:
-    """Diagonalizable matrix with a planted eigenvalue multiplicity pattern."""
-    if multiplicities is None:
-        multiplicities = []
-        left = n
-        while left:
-            if len(multiplicities) == len(_NONZERO) - 1:
-                multiplicities.append(left)
-                break
-            k = int(rng.integers(1, left + 1))
-            multiplicities.append(k)
-            left -= k
-    values = _NONZERO[rng.choice(len(_NONZERO), size=len(multiplicities), replace=False)]
-    vec = np.concatenate([np.full(k, v) for k, v in zip(multiplicities, values)])
-    s = random_diagonalizer(rng, n)
-    return _assemble(s, np.linalg.inv(s), vec)
 
 
 def random_normal(rng: np.random.Generator, n: int, zero_fraction: float = 0.2) -> np.ndarray:

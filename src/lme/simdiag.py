@@ -207,8 +207,10 @@ def match_induced_sequences(seq1, seq2, tol: float = TOL_CLUSTER) -> Permutation
     i.e. seq2[j][i] = seq1[j][sigma(i+1)-1] for all j simultaneously.
 
     Positions are matched as multisets of eigenvalue tuples under the given
-    tolerance; greedy nearest assignment suffices because genuine induced
-    sequences only ever contain tuples that are either equal or well apart.
+    tolerance, at the largest distance over the sequences, by the greedy
+    matcher that pair recovery also uses; greedy nearest assignment suffices
+    because genuine induced sequences only ever contain tuples that are
+    either equal or well apart.
     """
     a = [np.asarray(v, dtype=complex) for v in seq1]
     b = [np.asarray(v, dtype=complex) for v in seq2]
@@ -221,25 +223,14 @@ def match_induced_sequences(seq1, seq2, tol: float = TOL_CLUSTER) -> Permutation
         if v.shape != (n,):
             raise DimensionMismatchError("all vectors must share one length")
     scale = max(1.0, max(float(np.max(np.abs(v))) for v in a + b))
-    gap = tol * scale
-    used = [False] * n
-    image = [0] * n
-    for i in range(n):
-        best = -1
-        best_dist = np.inf
-        for p in range(n):
-            if used[p]:
-                continue
-            dist = max(abs(a[j][p] - b[j][i]) for j in range(len(a)))
-            if dist < best_dist:
-                best, best_dist = p, dist
-        if best < 0 or best_dist > gap:
-            raise NoMatchingPermutationError(
-                f"no source position matches target {i} (best distance {best_dist:.3e})"
-            )
-        used[best] = True
-        image[i] = best + 1
-    return Permutation(tuple(image))
+    dist = np.abs(np.array(b)[:, :, None] - np.array(a)[:, None, :]).max(axis=0)
+    cols, best = _greedy_match(dist, tol * scale, np.ones(n, dtype=bool))
+    if -1 in cols:
+        i = cols.index(-1)
+        raise NoMatchingPermutationError(
+            f"no source position matches target {i} (best distance {best[i]:.3e})"
+        )
+    return Permutation(tuple(p + 1 for p in cols))
 
 
 def commutant(m, tol: Tolerances = DEFAULT) -> CommutantDescription:
@@ -250,39 +241,43 @@ def commutant(m, tol: Tolerances = DEFAULT) -> CommutantDescription:
     return CommutantDescription(star.diagonalizer, sizes, sum(k * k for k in sizes))
 
 
-def _multiset_pick(candidates, pool, pool_used, gap):
-    """Greedily match each candidate to an unused pool value within ``gap``;
-    returns the list of matched pool indices (candidates that match nothing
-    are skipped)."""
-    matched = []
-    for c in candidates:
-        best = -1
-        best_dist = np.inf
-        for p, value in enumerate(pool):
-            if pool_used[p]:
-                continue
-            dist = abs(value - c)
-            if dist < best_dist:
-                best, best_dist = p, dist
-        if best >= 0 and best_dist <= gap:
-            pool_used[best] = True
-            matched.append(best)
-    return matched
+def _greedy_match(dist: np.ndarray, gap: float, free: np.ndarray):
+    """Match the rows of a distance matrix in order: each row takes the
+    lowest-index ``free`` column at its smallest distance, provided that
+    distance is within ``gap``, and clears it from ``free``.  Returns the
+    column of each row (-1 where none was taken) and the smallest distance
+    each row saw, as lists."""
+    # plain floats: the matrices are small, and a Python loop over them is
+    # cheaper than one numpy call per row
+    rows = np.where(free, dist, np.inf).tolist()
+    cols, best = [], []
+    for i, row in enumerate(rows):
+        d = min(row)
+        p = row.index(d) if d <= gap else -1
+        if p >= 0:
+            free[p] = False
+            for later in rows[i + 1:]:
+                later[p] = np.inf
+        cols.append(p)
+        best.append(d)
+    return cols, best
 
 
 def induced_pair_without_diagonalizer(a, b, tol: Tolerances = DEFAULT):
     """Compatible eigenvalue ordering for two commuting diagonalizable
     matrices, computed from eigenvalues alone.
 
-    The first vector is the star vector of ``a``, read off the family's joint
-    eigenbasis (the one eigensolve of ``validate_family``).  For each of its
-    nonzero eigenvalue blocks, the matching block of ``b``-eigenvalues is
-    recovered as the multiset intersection of eig(B) with
+    The first vector is the star vector of ``a``, and its eigenvalue blocks
+    are the first level of the star sequence, both read off the family's
+    joint eigenbasis (the one eigensolve of ``validate_family``).  For each
+    nonzero block, the matching block of ``b``-eigenvalues is recovered as
+    the multiset intersection of eig(B) with
     eig((AB + beta*A)/lambda - beta*I) for a shift ``beta`` chosen outside
     the set of collision values; a zero eigenvalue block receives whatever
-    remains.  Returns ``(avec, bvec, collision_set, beta)``; the assembled
-    pair is cross-checked against the joint diagonalizer's induced pair
-    before being returned.
+    remains.  The intersection uses the same greedy matcher as
+    ``match_induced_sequences``.  Returns ``(avec, bvec, collision_set,
+    beta)``; the assembled pair is cross-checked against the joint
+    diagonalizer's induced pair before being returned.
     """
     amat = require_square(as_matrix(a, "A"), "A")
     bmat = require_square(as_matrix(b, "B"), "B")
@@ -290,25 +285,15 @@ def induced_pair_without_diagonalizer(a, b, tol: Tolerances = DEFAULT):
     n = family.size
     star = simultaneous_diagonalizer(family)
     avec = star.vectors[0]
+    blocks = star.levels[0]
     scale_a = max(1.0, fro(amat))
     scale_b = max(1.0, fro(bmat))
-
-    # distinct eigenvalues of A with multiplicities, in star-vector order
-    reps: list[complex] = []
-    sizes: list[int] = []
-    for value in avec:
-        if reps and abs(value - reps[-1]) <= tol.cluster * scale_a:
-            sizes[-1] += 1
-        else:
-            reps.append(complex(value))
-            sizes.append(1)
-
     b_eigs = np.linalg.eigvals(bmat)
 
-    # (lam_s b_i - lam_r b_j) / (lam_r - lam_s) over r != s and i != j,
+    # (lam_s b_i - lam_r b_j) / (lam_r - lam_s) over blocks r != s and i != j,
     # flattened in (r, s, i, j) order
-    lam = np.array(reps, dtype=complex)
-    r_idx, s_idx = np.nonzero(~np.eye(len(reps), dtype=bool))
+    lam = avec[[lo for lo, _ in blocks]]
+    r_idx, s_idx = np.nonzero(~np.eye(len(blocks), dtype=bool))
     i_idx, j_idx = np.nonzero(~np.eye(n, dtype=bool))
     lam_r, lam_s = lam[r_idx][:, None], lam[s_idx][:, None]
     collisions = ((lam_s * b_eigs[i_idx] - lam_r * b_eigs[j_idx]) / (lam_r - lam_s)).ravel()
@@ -319,41 +304,33 @@ def induced_pair_without_diagonalizer(a, b, tol: Tolerances = DEFAULT):
     beta = 1.0 + max((abs(z) for z in collision_set), default=0.0)
 
     gap = tol.cluster * scale_b
-    pool = list(b_eigs)
-    pool_used = [False] * n
-    blocks: dict[int, list[complex]] = {}
+    free = np.ones(n, dtype=bool)
+    bvec = np.empty(n, dtype=complex)
     zero_block = None
-    for q, lam_q in enumerate(reps):
-        if abs(lam_q) <= tol.zero * scale_a:
+    for q, (lo, hi) in enumerate(blocks):
+        if abs(lam[q]) <= tol.zero * scale_a:
             if zero_block is not None:
                 raise IntersectionAmbiguousError("multiple zero eigenvalue blocks")
-            zero_block = q
+            zero_block = (lo, hi)
             continue
-        shifted = (amat @ bmat + beta * amat) / lam_q - beta * np.eye(n)
-        t_eigs = np.linalg.eigvals(shifted)
-        matched = _multiset_pick(t_eigs, pool, pool_used, gap)
-        if len(matched) != sizes[q]:
+        shifted = (amat @ bmat + beta * amat) / lam[q] - beta * np.eye(n)
+        cols, _ = _greedy_match(np.abs(np.linalg.eigvals(shifted)[:, None] - b_eigs), gap, free)
+        matched = b_eigs[[p for p in cols if p >= 0]]
+        if matched.size != hi - lo:
             raise IntersectionAmbiguousError(
-                f"block {q} matched {len(matched)} eigenvalues, expected {sizes[q]}"
+                f"block {q} matched {matched.size} eigenvalues, expected {hi - lo}"
             )
-        blocks[q] = [complex(pool[p]) for p in matched]
-    remaining = [complex(pool[p]) for p in range(n) if not pool_used[p]]
+        bvec[lo:hi] = matched[canonical_sort_indices(matched, gap)]
+    remaining = b_eigs[free]
     if zero_block is not None:
-        if len(remaining) != sizes[zero_block]:
+        lo, hi = zero_block
+        if remaining.size != hi - lo:
             raise IntersectionAmbiguousError(
-                f"zero block needs {sizes[zero_block]} eigenvalues, {len(remaining)} remain"
+                f"zero block needs {hi - lo} eigenvalues, {remaining.size} remain"
             )
-        blocks[zero_block] = remaining
-    elif remaining:
-        raise IntersectionAmbiguousError(f"{len(remaining)} eigenvalues left unassigned")
-
-    bvec = np.empty(n, dtype=complex)
-    off = 0
-    for q in range(len(reps)):
-        vals = np.array(blocks[q])
-        order = canonical_sort_indices(vals, gap)
-        bvec[off:off + sizes[q]] = vals[order]
-        off += sizes[q]
+        bvec[lo:hi] = remaining[canonical_sort_indices(remaining, gap)]
+    elif remaining.size:
+        raise IntersectionAmbiguousError(f"{remaining.size} eigenvalues left unassigned")
 
     try:
         match_induced_sequences([star.vectors[0], star.vectors[1]], [avec, bvec], tol.cluster)

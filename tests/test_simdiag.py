@@ -23,6 +23,7 @@ from lme.matcore import (
     permute_vector,
 )
 from lme.simdiag import (
+    _greedy_match,
     commutant,
     induced_pair_without_diagonalizer,
     induced_vectors,
@@ -486,3 +487,96 @@ class TestAgainstRecursiveRefinement:
         for m, vec in zip(members, star.vectors):
             recon = star.diagonalizer @ (vec[:, None] * star.inverse)
             assert fro(recon - m) <= 1e-8 * max(1.0, fro(m))
+
+
+# The two greedy nearest-match loops that _greedy_match replaced: the
+# intersection step of induced_pair_without_diagonalizer and the position
+# matching of match_induced_sequences.
+
+
+def reference_multiset_pick(candidates, pool, pool_used, gap):
+    matched = []
+    for c in candidates:
+        best = -1
+        best_dist = np.inf
+        for p, value in enumerate(pool):
+            if pool_used[p]:
+                continue
+            dist = abs(value - c)
+            if dist < best_dist:
+                best, best_dist = p, dist
+        if best >= 0 and best_dist <= gap:
+            pool_used[best] = True
+            matched.append(best)
+    return matched
+
+
+def reference_match_induced_sequences(seq1, seq2, tol):
+    a = [np.asarray(v, dtype=complex) for v in seq1]
+    b = [np.asarray(v, dtype=complex) for v in seq2]
+    n = a[0].shape[0]
+    gap = tol * max(1.0, max(float(np.max(np.abs(v))) for v in a + b))
+    used = [False] * n
+    image = [0] * n
+    for i in range(n):
+        best = -1
+        best_dist = np.inf
+        for p in range(n):
+            if used[p]:
+                continue
+            dist = max(abs(a[j][p] - b[j][i]) for j in range(len(a)))
+            if dist < best_dist:
+                best, best_dist = p, dist
+        if best < 0 or best_dist > gap:
+            raise NoMatchingPermutationError(
+                f"no source position matches target {i} (best distance {best_dist:.3e})"
+            )
+        used[best] = True
+        image[i] = best + 1
+    return Permutation(tuple(image))
+
+
+# Values on a lattice of step 1/4 inside the unit disc: exact ties,
+# duplicates and distances of exactly one step (the gap below) are common,
+# and every match_induced_sequences scale is 1.
+quarter = st.integers(-2, 2).map(lambda k: k / 4)
+lattice_value = st.builds(complex, quarter, quarter)
+LATTICE_GAP = 0.25
+
+
+class TestGreedyMatchAgainstLoops:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        pool=st.lists(lattice_value, min_size=1, max_size=8),
+        blocks=st.lists(st.lists(lattice_value, max_size=8), min_size=1, max_size=3),
+        gap=st.sampled_from([0.0, LATTICE_GAP, 0.3]),
+    )
+    def test_same_picks_as_multiset_loop(self, pool, blocks, gap):
+        pool_arr = np.array(pool, dtype=complex)
+        pool_used = [False] * len(pool)
+        free = np.ones(len(pool), dtype=bool)
+        for candidates in blocks:
+            cand = np.array(candidates, dtype=complex)
+            want = reference_multiset_pick(cand, pool_arr, pool_used, gap)
+            cols, _ = _greedy_match(np.abs(cand[:, None] - pool_arr), gap, free)
+            assert [p for p in cols if p >= 0] == want
+            assert (~free).tolist() == pool_used
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 7), k=st.integers(1, 3))
+    def test_same_permutation_as_nested_loop(self, data, n, k):
+        seq1 = [np.array(data.draw(st.lists(lattice_value, min_size=n, max_size=n))) for _ in range(k)]
+        perm = data.draw(st.permutations(range(n)))
+        seq2 = [v[list(perm)] for v in seq1]
+        cells = st.tuples(st.integers(0, k - 1), st.integers(0, n - 1))
+        for j, i in data.draw(st.lists(cells, max_size=3)):
+            seq2[j][i] = data.draw(lattice_value)
+        tol = data.draw(st.sampled_from([LATTICE_GAP, 0.3]))
+        try:
+            want = reference_match_induced_sequences(seq1, seq2, tol)
+        except NoMatchingPermutationError as exc:
+            with pytest.raises(NoMatchingPermutationError) as got:
+                match_induced_sequences(seq1, seq2, tol)
+            assert str(got.value) == str(exc)
+        else:
+            assert match_induced_sequences(seq1, seq2, tol) == want
