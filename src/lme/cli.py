@@ -12,6 +12,13 @@ Matrices live in JSON files {"rows": r, "cols": c, "data": [[[re, im], ...]]}
 (row major, one [re, im] pair per entry); a plain-text alternative with one
 row per line and complex tokens such as ``1+2j`` is accepted on input.
 
+Reports are JSON objects written one top-level key per line, each value
+encoded compactly.  A structured solve report keeps the solution set in the
+factored form the solver returns: ``S`` and ``S_inv`` (matrix payloads) and
+``zero_cells``, where basis member i is ``outer(S[:, r], S_inv[c, :])`` for
+``[r, c] = zero_cells[i]``.  An oracle report (``--force-oracle``) has no S
+and lists its nullspace densely under ``basis``.
+
 Exit codes: 0 success/consistent, 1 I/O, parse or usage error, 2 hypothesis
 violated, 3 inconsistent, 4 verification mismatch.  An error reading a
 matrix file names the file.
@@ -137,7 +144,10 @@ def _load_spec(args):
 
 
 def _emit(report: dict, out_path: str | None) -> None:
-    text = json.dumps(report, indent=2) + "\n"
+    # without indent json.dumps runs the C encoder; indent=2 would encode
+    # every nested float in pure Python
+    lines = ",\n".join(f"  {json.dumps(key)}: {json.dumps(value)}" for key, value in report.items())
+    text = "{\n" + lines + "\n}\n"
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -236,23 +246,26 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _structured_report(spec, result, evidence, echo) -> dict:
     # residuals of the x_hat and basis the report carries; the evidence's
-    # flags are its own view, on the Drazin candidate
+    # flags are its own view, on the Drazin candidate.  zero_cells is read
+    # off the basis so that member i is outer(S[:, r_i], S_inv[c_i, :])
+    basis = result.basis
     residuals = {
         "x_hat_equation": equations.equation_residual(spec, result.x_hat),
         "x_hat_standard": equations.standard_residual(spec, result.x_hat),
-        "basis_homogeneous_max": equations.basis_residual_max(spec, result.basis),
+        "basis_homogeneous_max": equations.basis_residual_max(spec, basis),
     }
     return {
         "consistent": result.consistent,
         "dimension": result.dimension,
         "x_hat": matrix_payload(result.x_hat),
-        "basis": [matrix_payload(b) for b in result.basis],
+        "S": matrix_payload(basis.diagonalizer),
+        "S_inv": matrix_payload(basis.inverse),
         "residuals": residuals,
         "diagnostics": list(evidence.diagnostics),
         "equivalence_checks": evidence.flags(),
         "witness_row": result.witness_r,
         "normal_certificate": result.normal_certificate,
-        "zero_cells": [[int(r), int(c)] for r, c in result.relevant.cells],
+        "zero_cells": [[int(r), int(c)] for r, c in zip(basis.rows, basis.cols)],
         "mode": "structured",
         "tolerances": echo,
     }
@@ -318,9 +331,10 @@ def _cmd_verify(args) -> int:
         return EXIT_ERROR
     trials: list[tuple[str, equations.EquationSpec]] = []
     if args.trials is not None:
-        if args.trials < 1:
-            print("error: --trials must be positive", file=sys.stderr)
-            return EXIT_ERROR
+        for flag in ("trials", "n", "k"):
+            if getattr(args, flag) < 1:
+                print(f"error: --{flag} must be positive", file=sys.stderr)
+                return EXIT_ERROR
         rng = np.random.default_rng(args.seed)
         for t in range(args.trials):
             zero_rows = t % 3

@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -45,6 +46,12 @@ def payload_to_matrix(payload):
     return np.array(
         [[complex(re, im) for re, im in row] for row in payload["data"]], dtype=complex
     )
+
+
+def report_basis(report):
+    """The members S E_rs S^{-1} a structured report stands for."""
+    s, s_inv = payload_to_matrix(report["S"]), payload_to_matrix(report["S_inv"])
+    return [np.outer(s[:, r], s_inv[c, :]) for r, c in report["zero_cells"]]
 
 
 class TestMatrixFiles:
@@ -95,7 +102,10 @@ class TestSolveCommand:
         report = read_report(out)
         assert report["consistent"] is True
         assert report["dimension"] == 2
-        assert len(report["basis"]) == 2
+        assert len(report["zero_cells"]) == 2
+        assert "basis" not in report
+        assert payload_to_matrix(report["S"]).shape == (3, 3)
+        assert payload_to_matrix(report["S_inv"]).shape == (3, 3)
         assert all(v is True for v in report["equivalence_checks"].values())
         assert all(np.isfinite(v) for v in report["residuals"].values())
 
@@ -109,7 +119,7 @@ class TestSolveCommand:
         assert main(args) == EXIT_OK
         report = read_report(out)
         x = payload_to_matrix(report["x_hat"])
-        basis = [payload_to_matrix(p) for p in report["basis"]]
+        basis = report_basis(report)
         residuals = report["residuals"]
         assert residuals["x_hat_equation"] == lme.equations.equation_residual(spec, x)
         assert residuals["x_hat_standard"] == lme.equations.standard_residual(spec, x)
@@ -329,6 +339,114 @@ def test_named_form_matches_library(files, form):
     assert report["formula_count"] == report["dimension"]
 
 
+# (command, case) -> (A, B, C); for solve, A and B are lists.  Each case's
+# verdict is checked against the library before the report is compared.
+REPORT_CASES = {
+    ("solve", "consistent"): ([HOMOG_A, 2 * np.eye(3)], [HOMOG_B, np.eye(3)], np.zeros((3, 3))),
+    ("solve", "inconsistent"): ([np.diag([1.0, 0.0])], [np.eye(2)], np.eye(2)),
+    ("solve", "dimension 0"): (
+        [_similar(_S, [1, 2, 3, 4])], [_similar(_S, [1, 1, 2, 2])], _similar(_S, [1, 0, 2, 1])
+    ),
+    **{(form, "consistent"): case for form, case in NAMED_CASES.items()},
+    ("sylvester", "inconsistent"): (*NAMED_CASES["sylvester"][:2], _similar(_S, [1, 1, 2, 1])),
+    ("sylvester", "dimension 0"): (
+        _similar(_S, [1, 2, 3, 4]), _similar(_S, [5, 6, 7, 8]), _similar(_S, [0, 1, 2, 1])
+    ),
+    ("stein", "inconsistent"): (*NAMED_CASES["stein"][:2], _similar(_S, [1, 1, 0, 1])),
+    ("stein", "dimension 0"): (
+        _similar(_S, [1, 2, 0.5, 3]), _similar(_S, [5, 6, 7, 8]), _similar(_S, [0, 1, 0, 1])
+    ),
+    ("clyap", "inconsistent"): (NAMED_CASES["clyap"][0], None, _similar(_U, [1, 0, 1, -2])),
+    ("clyap", "dimension 0"): (_similar(_U, [1, 2, 3, 1 + 1j]), None, _similar(_U, [0, 0, 1, -2])),
+    ("dlyap", "inconsistent"): (NAMED_CASES["dlyap"][0], None, _similar(_U, [1, 0, 1, 3])),
+    ("dlyap", "dimension 0"): (_similar(_U, [2, 3, 4, 5]), None, _similar(_U, [0, 0, 1, 3])),
+}
+
+
+def equation_argv(files, command, a, b, c):
+    """Write the matrices to files; return the argv that runs ``command``
+    on them and the spec the library builds from the same matrices."""
+    write, tmp = files
+    if command == "solve":
+        spec = lme.equations.equation_spec(a, b, c)
+        argv = ["solve"]
+        for j, (aj, bj) in enumerate(zip(a, b)):
+            argv += ["--a", write(f"a{j}.json", aj), "--b", write(f"b{j}.json", bj)]
+    else:
+        spec = lme.equations.named_form_spec(command, a, c, b)
+        argv = [command, "--a", write("a.json", a)]
+        if b is not None:
+            argv += ["--b", write("b.json", b)]
+    return argv + ["--c", write("c.json", c), "--out", str(tmp / "r.json")], spec
+
+
+@pytest.mark.parametrize("command, case", sorted(REPORT_CASES))
+def test_report_rebuilds_the_library_solution_set(files, command, case):
+    argv, spec = equation_argv(files, command, *REPORT_CASES[command, case])
+    code = main(argv)
+    report = read_report(argv[-1])
+    result = lme.solve(spec)
+    assert {
+        "consistent": result.consistent and result.dimension > 0,
+        "inconsistent": not result.consistent,
+        "dimension 0": result.consistent and result.dimension == 0,
+    }[case]
+    assert code == (EXIT_OK if result.consistent else EXIT_INCONSISTENT)
+    assert report["mode"] == "structured"
+    assert report["consistent"] is result.consistent
+    assert report["dimension"] == result.dimension
+    np.testing.assert_array_equal(payload_to_matrix(report["x_hat"]), result.x_hat)
+    rebuilt = report_basis(report)
+    library = tuple(result.basis)
+    assert len(rebuilt) == len(library) == result.dimension
+    for mine, theirs in zip(rebuilt, library):
+        np.testing.assert_array_equal(mine, theirs)
+
+
+def sylvester_dimension_n(n):
+    """A X + X (-A) = 0 with distinct eigenvalues: the dimension is n."""
+    rng = np.random.default_rng(n)
+    s = lme.instances.random_diagonalizer(rng, n)
+    a = _similar(s, rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    return a, -a, np.zeros((n, n))
+
+
+PAYLOAD_CASES = {
+    "dimension 0": ("solve", *REPORT_CASES["solve", "dimension 0"]),
+    "dimension 2": ("solve", *REPORT_CASES["solve", "consistent"]),
+    "dimension 8": ("sylvester", *sylvester_dimension_n(8)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PAYLOAD_CASES))
+def test_report_encodes_three_matrices_whatever_the_dimension(files, monkeypatch, case):
+    argv, spec = equation_argv(files, *PAYLOAD_CASES[case])
+    calls = []
+    original = lme.cli.matrix_payload
+
+    def counted(m):
+        calls.append(np.shape(m))
+        return original(m)
+
+    monkeypatch.setattr(lme.cli, "matrix_payload", counted)
+    assert main(argv) == EXIT_OK
+    assert read_report(argv[-1])["dimension"] == int(case.split()[-1])
+    # x_hat, S and S_inv
+    assert calls == [(spec.n, spec.n)] * 3
+
+
+def test_report_size_is_quadratic_in_n(files):
+    per_entry = {}
+    for n in (8, 16, 32):
+        argv, _ = equation_argv(files, "sylvester", *sylvester_dimension_n(n))
+        assert main(argv) == EXIT_OK
+        assert read_report(argv[-1])["dimension"] == n
+        per_entry[n] = os.path.getsize(argv[-1]) / n**2
+    # x_hat, S and S_inv take about 100 bytes per entry together; a dense
+    # basis of n members would make the bytes per entry grow like n
+    assert max(per_entry.values()) <= 1.25 * per_entry[8], per_entry
+
+
 class TestForceOracleOnSolve:
     def test_noncommuting_general_equation(self, files):
         write, tmp = files
@@ -401,6 +519,12 @@ class TestVerifyCommand:
     def test_missing_inputs(self):
         assert main(["verify"]) == EXIT_ERROR
 
+    @pytest.mark.parametrize("flag, value", [("trials", "0"), ("n", "0"), ("n", "-1"), ("k", "0")])
+    def test_nonpositive_sizes_rejected(self, capsys, flag, value):
+        argv = ["verify", "--trials", "1", "--n", "3", "--k", "2", f"--{flag}", value]
+        assert main(argv) == EXIT_ERROR
+        assert capsys.readouterr().err == f"error: --{flag} must be positive\n"
+
 
 class TestDiagonalizeCommand:
     def test_single_diagonal(self, files):
@@ -442,6 +566,51 @@ class TestDiagonalizeCommand:
     def test_pair_needs_two(self, files):
         write, _ = files
         assert main(["diagonalize", write("m.json", np.eye(2)), "--pair"]) == EXIT_ERROR
+
+
+class TestReportEncoding:
+    @pytest.fixture
+    def emitted(self, monkeypatch):
+        """Every report dict ``_emit`` is given, as it was given."""
+        reports = []
+        original = lme.cli._emit
+
+        def capture(report, out_path):
+            reports.append(report)
+            original(report, out_path)
+
+        monkeypatch.setattr(lme.cli, "_emit", capture)
+        return reports
+
+    def argv(self, files, kind):
+        write, tmp = files
+        out = ["--out", str(tmp / "r.json")]
+        if kind == "solve":
+            return equation_argv(files, "solve", *REPORT_CASES["solve", "consistent"])[0]
+        if kind == "oracle":
+            return [
+                "stein", "--a", write("a.json", STEIN2_A / 2), "--b", write("b.json", STEIN2_A),
+                "--c", write("c.json", STEIN2_C / 2), "--force-oracle", *out,
+            ]
+        if kind == "verify":
+            return ["verify", "--trials", "3", "--n", "3", "--seed", "4", *out]
+        return ["diagonalize", write("a.json", HOMOG_A), write("b.json", HOMOG_B), "--pair", *out]
+
+    @pytest.mark.parametrize("kind", ["solve", "oracle", "verify", "diagonalize"])
+    def test_one_key_per_line_same_content(self, files, emitted, kind):
+        argv = self.argv(files, kind)
+        assert main(argv) == EXIT_OK
+        (report,) = emitted
+        with open(argv[-1], "r", encoding="utf-8") as fh:
+            text = fh.read()
+        parsed = json.loads(text)
+        assert parsed == json.loads(json.dumps(report, indent=2))
+        lines = text.splitlines()
+        assert lines[0] == "{" and lines[-1] == "}"
+        assert [json.loads("{" + line.rstrip(",") + "}") for line in lines[1:-1]] == [
+            {key: value} for key, value in parsed.items()
+        ]
+        assert ("basis" in parsed) is (kind == "oracle")
 
 
 class TestDeterminismAndEnv:
