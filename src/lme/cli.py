@@ -19,9 +19,16 @@ factored form the solver returns: ``S`` and ``S_inv`` (matrix payloads) and
 ``[r, c] = zero_cells[i]``.  An oracle report (``--force-oracle``) has no S
 and lists its nullspace densely under ``basis``.
 
-Exit codes: 0 success/consistent, 1 I/O, parse or usage error, 2 hypothesis
-violated, 3 inconsistent, 4 verification mismatch.  An error reading a
-matrix file names the file.
+Exit codes, each set in ``main`` alone:
+
+    0  success; the equation is consistent
+    1  ``error: ...``: an unreadable or malformed matrix file (the message
+       names it), a non-square or size-mismatched matrix, a bad flag value
+       or an unwritable --out path
+    2  ``hypothesis violated: ...``: the inputs break a hypothesis of the
+       structured solver (without --force-oracle)
+    3  the equation is inconsistent
+    4  verify: the solver and the oracle disagree
 
 solve and the named forms take --tol-zero, --tol-cluster, --tol-res and
 --tol-rank; verify and diagonalize take only --tol-zero and --tol-cluster.
@@ -32,6 +39,7 @@ The flags a subcommand registers, over the defaults, make the one
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import replace
@@ -40,8 +48,10 @@ import numpy as np
 
 from . import equations, oracle
 from .errors import (
+    DimensionMismatchError,
     HypothesisViolatedError,
     LmeError,
+    NonSquareError,
     NotHermitianRhsError,
     NotNormalError,
     OracleMismatchError,
@@ -104,9 +114,9 @@ def load_matrix(path: str) -> np.ndarray:
 
 
 def dump_matrix(m: np.ndarray) -> str:
-    """Canonical serialized form; writing then re-parsing then re-writing is
-    byte stable."""
-    return json.dumps(matrix_payload(m), indent=2) + "\n"
+    """Canonical form, one compact JSON line (the C encoder); writing,
+    re-parsing and re-writing is byte stable."""
+    return json.dumps(matrix_payload(m)) + "\n"
 
 
 def write_matrix(path: str, m: np.ndarray) -> None:
@@ -114,21 +124,21 @@ def write_matrix(path: str, m: np.ndarray) -> None:
         fh.write(dump_matrix(m))
 
 
-# what reading the input files can raise (json.JSONDecodeError is a ValueError)
-_INPUT_ERRORS = (OSError, ValueError, KeyError, TypeError, LmeError)
+class _UsageError(Exception):
+    """A bad input file, flag value or --out path: ``main`` exits 1."""
 
 
 def _read(path: str) -> np.ndarray:
-    """``load_matrix``, with a failure re-raised as a ``ValueError`` whose
-    message starts with the path."""
+    """``load_matrix``, with a failure re-raised as a ``_UsageError`` whose
+    message starts with the path (json.JSONDecodeError is a ValueError)."""
     try:
         return load_matrix(path)
     except KeyError as exc:
-        raise ValueError(f"{path}: missing key {exc}") from exc
+        raise _UsageError(f"{path}: missing key {exc}") from exc
     except OSError as exc:
-        raise ValueError(f"{path}: {exc.strerror or exc}") from exc
-    except _INPUT_ERRORS as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+        raise _UsageError(f"{path}: {exc.strerror or exc}") from exc
+    except (ValueError, TypeError, LmeError) as exc:
+        raise _UsageError(f"{path}: {exc}") from exc
 
 
 def _load_spec(args):
@@ -148,11 +158,14 @@ def _emit(report: dict, out_path: str | None) -> None:
     # every nested float in pure Python
     lines = ",\n".join(f"  {json.dumps(key)}: {json.dumps(value)}" for key, value in report.items())
     text = "{\n" + lines + "\n}\n"
-    if out_path:
+    if not out_path:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise _UsageError(f"{out_path}: {exc.strerror or exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -167,18 +180,23 @@ _TOLERANCE_FLAGS = {
 }
 
 
-def _add_common(parser: argparse.ArgumentParser, *fields: str) -> None:
+def _add_common(parser: argparse.ArgumentParser, run, *fields: str) -> None:
+    """Tolerance flags, --out, and the ``run(args, tol)`` ``main`` calls."""
     for name in fields:
         default = getattr(DEFAULT, name)
         parser.add_argument(f"--tol-{name}", type=float, default=default,
                             help=f"{_TOLERANCE_FLAGS[name]} (default {default})")
-    parser.set_defaults(tol_fields=fields)
+    parser.set_defaults(run=run, tol_fields=fields)
     parser.add_argument("--out", default=None, help="write the JSON report here")
 
 
 def _tolerances(args) -> Tolerances:
     """The run's tolerances: the registered flags over the defaults."""
-    return Tolerances(**{name: getattr(args, f"tol_{name}") for name in args.tol_fields})
+    try:
+        return Tolerances(**{name: getattr(args, f"tol_{name}") for name in args.tol_fields})
+    except ValueError as exc:
+        # the message starts with the field's name
+        raise _UsageError(f"--tol-{exc}") from exc
 
 
 def _echo(tol: Tolerances, args) -> dict[str, float]:
@@ -195,7 +213,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser, built on the first call rather than at import."""
     parser = _Parser(
         prog="lme",
         description="Solve linear matrix equations with commuting diagonalizable coefficients",
@@ -218,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--force-oracle", action="store_true",
                        help="fall back to the brute-force oracle when the "
                             "structural hypotheses fail")
-        _add_common(p, *_TOLERANCE_FLAGS)
+        _add_common(p, _cmd_equation, *_TOLERANCE_FLAGS)
 
     p_verify = sub.add_parser("verify", help="referee the solver against the oracle")
     p_verify.add_argument("--a", action="append", metavar="FILE")
@@ -230,14 +250,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--inject-fault", action="store_true",
                           help="corrupt a basis matrix first (negative control)")
-    _add_common(p_verify, "zero", "cluster")
+    _add_common(p_verify, _cmd_verify, "zero", "cluster")
 
     p_diag = sub.add_parser("diagonalize", help="joint diagonalizer and induced vectors")
     p_diag.add_argument("matrices", nargs="+", metavar="FILE")
     p_diag.add_argument("--pair", action="store_true",
                         help="with exactly two inputs, also recover the induced "
                              "pair from eigenvalues alone")
-    _add_common(p_diag, "zero", "cluster")
+    _add_common(p_diag, _cmd_diagonalize, "zero", "cluster")
     return parser
 
 
@@ -292,14 +312,9 @@ def _oracle_report(spec, tol, echo, reason: str) -> dict:
     }
 
 
-def _cmd_equation(args) -> int:
-    tol = _tolerances(args)
+def _cmd_equation(args, tol: Tolerances) -> int:
     command = args.command
-    try:
-        spec, a_mat, b_mat = _load_spec(args)
-    except _INPUT_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    spec, a_mat, b_mat = _load_spec(args)
     extras = {}
     if command in _NAMED_FORMS:
         extras["formula_count"] = equations.named_form_pair_count(command, a_mat, b_mat, tol)
@@ -308,34 +323,31 @@ def _cmd_equation(args) -> int:
             equations.lyapunov_gate(a_mat, spec.rhs, tol)
         result = equations.solve(spec, tol)
     except (HypothesisViolatedError, NotNormalError, NotHermitianRhsError) as exc:
-        reason = f"{type(exc).__name__}: {exc}"
         if not args.force_oracle:
-            print(f"hypothesis violated: {reason}", file=sys.stderr)
-            return EXIT_HYPOTHESIS
-        report = {**_oracle_report(spec, tol, _echo(tol, args), reason), **extras}
+            raise
+        report = _oracle_report(spec, tol, _echo(tol, args), f"{type(exc).__name__}: {exc}")
         print(report["diagnostics"][0], file=sys.stderr)
-        _emit(report, args.out)
-        return EXIT_OK if report["consistent"] else EXIT_INCONSISTENT
-    evidence = equations.consistency_evidence(spec, result)
-    _emit({**_structured_report(spec, result, evidence, _echo(tol, args)), **extras}, args.out)
-    return EXIT_OK if result.consistent else EXIT_INCONSISTENT
+    else:
+        evidence = equations.consistency_evidence(spec, result)
+        report = _structured_report(spec, result, evidence, _echo(tol, args))
+    _emit({**report, **extras}, args.out)
+    return EXIT_OK if report["consistent"] else EXIT_INCONSISTENT
 
 
 # ---------------------------------------------------------------------------
 # verify
 
-def _cmd_verify(args) -> int:
-    tol = _tolerances(args)
-    if args.trials is None and not (args.a and args.b and args.c):
-        print("error: verify needs either --trials or --a/--b/--c files", file=sys.stderr)
-        return EXIT_ERROR
-    trials: list[tuple[str, equations.EquationSpec]] = []
-    if args.trials is not None:
+def _cmd_verify(args, tol: Tolerances) -> int:
+    if args.trials is None:
+        if not (args.a and args.b and args.c):
+            raise _UsageError("verify needs either --trials or --a/--b/--c files")
+        trials = [("input files", _load_spec(args)[0])]
+    else:
         for flag in ("trials", "n", "k"):
             if getattr(args, flag) < 1:
-                print(f"error: --{flag} must be positive", file=sys.stderr)
-                return EXIT_ERROR
+                raise _UsageError(f"--{flag} must be positive")
         rng = np.random.default_rng(args.seed)
+        trials = []
         for t in range(args.trials):
             zero_rows = t % 3
             inconsistent = zero_rows > 0 and t % 5 == 0
@@ -343,13 +355,6 @@ def _cmd_verify(args) -> int:
                 rng, args.n, args.k, zero_diag_rows=zero_rows, inconsistent=inconsistent
             )
             trials.append((f"trial {t}", spec))
-    else:
-        try:
-            spec, _, _ = _load_spec(args)
-        except _INPUT_ERRORS as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_ERROR
-        trials.append(("input files", spec))
 
     checked = 0
     for label, spec in trials:
@@ -360,9 +365,8 @@ def _cmd_verify(args) -> int:
             return EXIT_HYPOTHESIS
         if args.inject_fault and result.basis:
             result = replace(result, basis=(result.basis[0] + 1e-3, *result.basis[1:]))
-        system = oracle.vectorize(spec)
         try:
-            oracle.compare(result, system)
+            oracle.compare(result, oracle.vectorize(spec))
         except OracleMismatchError as exc:
             _emit({"agreement": False, "trial": label, "failures": exc.failures,
                    "checked": checked}, args.out)
@@ -379,35 +383,25 @@ def _complex_pair(z: complex) -> list[float]:
     return [float(z.real), float(z.imag)]
 
 
-def _cmd_diagonalize(args) -> int:
-    tol = _tolerances(args)
-    try:
-        mats = [_read(p) for p in args.matrices]
-    except _INPUT_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+def _cmd_diagonalize(args, tol: Tolerances) -> int:
+    mats = [_read(p) for p in args.matrices]
     if args.pair and len(mats) != 2:
-        print("error: --pair needs exactly two matrices", file=sys.stderr)
-        return EXIT_ERROR
-    try:
-        star = simultaneous_diagonalizer(validate_family(mats, tol))
-        report = {
-            "diagonalizer": matrix_payload(star.diagonalizer),
-            "induced_vectors": [[_complex_pair(z) for z in v] for v in star.vectors],
-            "block_levels": [[[lo, hi] for lo, hi in level] for level in star.levels],
-            "tolerances": _echo(tol, args),
+        raise _UsageError("--pair needs exactly two matrices")
+    star = simultaneous_diagonalizer(validate_family(mats, tol))
+    report = {
+        "diagonalizer": matrix_payload(star.diagonalizer),
+        "induced_vectors": [[_complex_pair(z) for z in v] for v in star.vectors],
+        "block_levels": [[[lo, hi] for lo, hi in level] for level in star.levels],
+        "tolerances": _echo(tol, args),
+    }
+    if args.pair:
+        avec, bvec, collisions, beta = induced_pair_without_diagonalizer(mats[0], mats[1], tol)
+        report["pair"] = {
+            "a": [_complex_pair(z) for z in avec],
+            "b": [_complex_pair(z) for z in bvec],
+            "collision_set": [_complex_pair(z) for z in collisions],
+            "beta": _complex_pair(complex(beta)),
         }
-        if args.pair:
-            avec, bvec, collisions, beta = induced_pair_without_diagonalizer(mats[0], mats[1], tol)
-            report["pair"] = {
-                "a": [_complex_pair(z) for z in avec],
-                "b": [_complex_pair(z) for z in bvec],
-                "collision_set": [_complex_pair(z) for z in collisions],
-                "beta": _complex_pair(complex(beta)),
-            }
-    except LmeError as exc:
-        print(f"hypothesis violated: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_HYPOTHESIS
     _emit(report, args.out)
     return EXIT_OK
 
@@ -415,16 +409,15 @@ def _cmd_diagonalize(args) -> int:
 # ---------------------------------------------------------------------------
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command in ("solve", *_NAMED_FORMS):
-        return _cmd_equation(args)
-    if args.command == "verify":
-        return _cmd_verify(args)
-    if args.command == "diagonalize":
-        return _cmd_diagonalize(args)
-    parser.error(f"unknown command {args.command}")
-    return EXIT_ERROR
+    args = build_parser().parse_args(argv)
+    try:
+        return args.run(args, _tolerances(args))
+    except (_UsageError, NonSquareError, DimensionMismatchError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    except LmeError as exc:
+        print(f"hypothesis violated: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_HYPOTHESIS
 
 
 def entrypoint() -> None:

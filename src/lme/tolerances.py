@@ -15,6 +15,7 @@ Primitives on plain arrays (``matcore``, ``geninv``, ``relevant_matrix``,
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 TOL_RECON = 1e-8     # off-diagonal mass of S^{-1} M S in an eigenbasis
@@ -27,11 +28,12 @@ TOL_RANK = 1e-10     # singular-value threshold for numerical rank
 
 @dataclass(frozen=True)
 class Tolerances:
-    """The six thresholds of one run.  The defaults are the ``TOL_*``
-    constants, whose comments name the decisions each one makes; besides,
-    ``validate_family`` groups the eigenvalues of its eigensolve at no more
-    than ``recon``, and ``induced_vectors`` checks a supplied diagonalizer
-    at ``commute``."""
+    """The six thresholds of one run, each a finite float >= 0 (anything
+    else raises ``ValueError`` naming the field).  The defaults are the
+    ``TOL_*`` constants, whose comments name the decisions each one makes;
+    besides, ``validate_family`` groups the eigenvalues of its eigensolve at
+    no more than ``recon``, and ``induced_vectors`` checks a supplied
+    diagonalizer at ``commute``."""
 
     recon: float = TOL_RECON
     commute: float = TOL_COMMUTE
@@ -39,6 +41,11 @@ class Tolerances:
     zero: float = TOL_ZERO
     res: float = TOL_RES
     rank: float = TOL_RANK
+
+    def __post_init__(self):
+        for name, value in vars(self).items():
+            if not 0 <= value < math.inf:
+                raise ValueError(f"{name} must be a finite float >= 0, got {value!r}")
 
 
 DEFAULT = Tolerances()

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 
@@ -77,6 +78,14 @@ class TestMatrixFiles:
         path.write_text('{"rows": 2, "cols": 2, "data": [[[1, 0]]]}')
         with pytest.raises(ValueError):
             load_matrix(str(path))
+
+    def test_dump_is_one_compact_line(self, tmp_path):
+        m = np.random.default_rng(81).standard_normal((4, 4)) * (1 - 2j)
+        path = tmp_path / "m.json"
+        write_matrix(str(path), m)
+        text = path.read_text()
+        assert text == dump_matrix(m) and text.count("\n") == 1 and text.endswith("}\n")
+        np.testing.assert_array_equal(load_matrix(str(path)), m)
 
     def test_dump_shape(self):
         text = dump_matrix(np.eye(2))
@@ -648,3 +657,79 @@ class TestDeterminismAndEnv:
         report = read_report(out)
         assert report["tolerances"]["tol_zero"] == 1e-12
         assert report["tolerances"]["tol_cluster"] == TOL_CLUSTER
+
+
+# each command's argv over (A, B, C) files; diagonalize takes A and B
+SHAPE_ARGV = {
+    "solve": lambda a, b, c: ["solve", "--a", a, "--b", b, "--c", c],
+    "verify": lambda a, b, c: ["verify", "--a", a, "--b", b, "--c", c],
+    "diagonalize": lambda a, b, c: ["diagonalize", a, b],
+}
+
+
+SHAPE_MESSAGES = {
+    "non-square": "must be square, got shape (2, 3)",
+    "mismatched sizes": "has size 3, expected 2",
+}
+
+
+@pytest.mark.parametrize("command", sorted(SHAPE_ARGV))
+@pytest.mark.parametrize("case", sorted(SHAPE_MESSAGES))
+def test_shape_errors_exit_1_on_every_command(files, capsys, command, case):
+    write, _ = files
+    i2 = write("i2.json", np.eye(2))
+    if case == "non-square":
+        ns = write("ns.json", np.ones((2, 3)))
+        argv = SHAPE_ARGV[command](ns, ns, ns)
+    else:
+        argv = SHAPE_ARGV[command](i2, write("i3.json", np.eye(3)), i2)
+    assert main(argv) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err.endswith(f"{SHAPE_MESSAGES[case]}\n")
+
+
+@pytest.mark.parametrize("command", ["sylvester", "verify"])
+def test_unwritable_out_is_an_error_line(files, capsys, command):
+    write, tmp = files
+    out = tmp / "absent" / "r.json"
+    if command == "verify":
+        argv = ["verify", "--trials", "1", "--n", "3"]
+    else:
+        argv = ["sylvester", "--a", write("a.json", np.diag([1.0, 2.0])),
+                "--b", write("b.json", np.diag([3.0, 4.0])), "--c", write("c.json", np.eye(2))]
+    assert main(argv + ["--out", str(out)]) == EXIT_ERROR
+    assert capsys.readouterr().err == f"error: {out}: No such file or directory\n"
+
+
+@pytest.mark.parametrize("command, flag", [("solve", "zero"), ("solve", "rank"), ("verify", "cluster")])
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+def test_out_of_range_tolerance_flag(files, capsys, command, flag, value):
+    write, _ = files
+    if command == "verify":
+        argv = ["verify", "--trials", "1"]
+    else:
+        # diag(1, 0) X = 0 is consistent, of dimension 2
+        argv = ["solve", "--a", write("a.json", np.diag([1.0, 0.0])), "--b", write("b.json", np.eye(2)),
+                "--c", write("c.json", np.zeros((2, 2)))]
+    assert main(argv + [f"--tol-{flag}", value]) == EXIT_ERROR
+    assert capsys.readouterr().err == (
+        f"error: --tol-{flag} must be a finite float >= 0, got {float(value)!r}\n"
+    )
+
+
+def test_parser_is_built_once(files, monkeypatch):
+    write, tmp = files
+    argv = ["diagonalize", write("m.json", np.eye(2)), "--out", str(tmp / "d.json")]
+    assert main(argv) == EXIT_OK
+    built = []
+    original = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    assert main(argv) == EXIT_OK
+    assert main(["verify", "--trials", "1", "--out", str(tmp / "v.json")]) == EXIT_OK
+    assert built == []

@@ -94,3 +94,20 @@ def test_result_carries_its_tolerances():
     assert not evidence.x_hat_solves_equation and not evidence.x_hat_solves_standard
     _, evidence = lme.check_consistent(spec)
     assert evidence.x_hat_solves_equation and evidence.x_hat_solves_standard
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
+@pytest.mark.parametrize("name", [f.name for f in fields(Tolerances)])
+def test_out_of_range_value_rejected(name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be a finite float >= 0, got {value!r}$"):
+        Tolerances(**{name: value})
+
+
+def test_zero_is_in_range_and_a_negative_zero_threshold_is_refused():
+    assert Tolerances(zero=0.0).zero == 0.0
+    # at zero=-1 every gamma cell counted as nonzero made this inconsistent
+    # equation read consistent, of dimension 0
+    spec = lme.equation_spec([np.diag([1.0, 0.0])], [np.eye(2)], np.diag([0.0, 1.0]))
+    assert not lme.solve(spec).consistent
+    with pytest.raises(ValueError, match="^zero "):
+        lme.solve(spec, Tolerances(zero=-1.0))
