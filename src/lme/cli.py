@@ -25,8 +25,9 @@ Exit codes, each set in ``main`` alone:
     1  ``error: ...``: an unreadable or malformed matrix file (the message
        names it), a non-square or size-mismatched matrix, a bad flag value
        or an unwritable --out path
-    2  ``hypothesis violated: ...``: the inputs break a hypothesis of the
-       structured solver (without --force-oracle)
+    2  ``hypothesis violated: <CauseType>: <message>``: the inputs break a
+       hypothesis of the structured solver (without --force-oracle); verify
+       appends the trial, as `` (trial 3)`` or `` (input files)``
     3  the equation is inconsistent
     4  verify: the solver and the oracle disagree
 
@@ -325,7 +326,7 @@ def _cmd_equation(args, tol: Tolerances) -> int:
     except (HypothesisViolatedError, NotNormalError, NotHermitianRhsError) as exc:
         if not args.force_oracle:
             raise
-        report = _oracle_report(spec, tol, _echo(tol, args), f"{type(exc).__name__}: {exc}")
+        report = _oracle_report(spec, tol, _echo(tol, args), _violation(exc))
         print(report["diagnostics"][0], file=sys.stderr)
     else:
         evidence = equations.consistency_evidence(spec, result)
@@ -361,7 +362,7 @@ def _cmd_verify(args, tol: Tolerances) -> int:
         try:
             result = equations.solve(spec, tol)
         except HypothesisViolatedError as exc:
-            print(f"hypothesis violated on {label}: {exc}", file=sys.stderr)
+            print(f"hypothesis violated: {_violation(exc)} ({label})", file=sys.stderr)
             return EXIT_HYPOTHESIS
         if args.inject_fault and result.basis:
             result = replace(result, basis=(result.basis[0] + 1e-3, *result.basis[1:]))
@@ -408,6 +409,14 @@ def _cmd_diagonalize(args, tol: Tolerances) -> int:
 
 # ---------------------------------------------------------------------------
 
+def _violation(exc: LmeError) -> str:
+    """``<CauseType>: <message>`` of a hypothesis failure, with the cause
+    unwrapped from a HypothesisViolatedError."""
+    if isinstance(exc, HypothesisViolatedError) and exc.cause is not None:
+        exc = exc.cause
+    return f"{type(exc).__name__}: {exc}"
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -416,7 +425,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     except LmeError as exc:
-        print(f"hypothesis violated: {type(exc).__name__}: {exc}", file=sys.stderr)
+        print(f"hypothesis violated: {_violation(exc)}", file=sys.stderr)
         return EXIT_HYPOTHESIS
 
 

@@ -88,6 +88,10 @@ class EquationSpec:
     def members(self) -> list[np.ndarray]:
         return [*self.a_list, *self.b_list, self.rhs]
 
+    def member_names(self) -> list[str]:
+        """The role of each of ``members()``: A[j], B[j] and C."""
+        return [*(f"A[{j}]" for j in range(self.k)), *(f"B[{j}]" for j in range(self.k)), "C"]
+
 
 def equation_spec(a_list, b_list, rhs) -> EquationSpec:
     """Validate and freeze the equation data."""
@@ -268,10 +272,11 @@ def solve(spec: EquationSpec, tol: Tolerances = DEFAULT) -> AffineSolutionSet:
 
     Raises HypothesisViolatedError when the parameter matrices do not form a
     commuting family of diagonalizable matrices; that case is outside this
-    solver's scope and belongs to the brute-force oracle.
+    solver's scope and belongs to the brute-force oracle.  Its cause names
+    the members by their role in the spec: A[j], B[j] or C.
     """
     try:
-        family = validate_family(spec.members(), tol)
+        family = validate_family(spec.members(), tol, spec.member_names())
     except LmeError as exc:
         raise HypothesisViolatedError(exc) from exc
     star = simultaneous_diagonalizer(family)

@@ -26,24 +26,28 @@ class IndexTooLargeError(LmeError):
 
 
 class NotCommutingError(LmeError):
-    """Two members of a supposed commuting family fail to commute."""
+    """Two members of a supposed commuting family fail to commute.  The
+    message calls them ``names`` when given, else "members i and j"."""
 
-    def __init__(self, i: int, j: int, residual: float | None = None):
+    def __init__(self, i: int, j: int, residual: float | None = None,
+                 names: tuple[str, str] | None = None):
         self.i = i
         self.j = j
         self.residual = residual
+        pair = " and ".join(names) if names else f"members {i} and {j}"
         detail = f" (relative residual {residual:.3e})" if residual is not None else ""
-        super().__init__(f"members {i} and {j} do not commute{detail}")
+        super().__init__(f"{pair} do not commute{detail}")
 
 
 class NotDiagonalizableError(LmeError):
-    """A family member admits no eigenbasis within tolerance."""
+    """A family member admits no eigenbasis within tolerance.  The message
+    calls it ``name`` when given, else "member i"."""
 
-    def __init__(self, i: int = 0, detail: str = ""):
+    def __init__(self, i: int = 0, detail: str = "", name: str | None = None):
         self.i = i
         self.detail = detail
         suffix = f": {detail}" if detail else ""
-        super().__init__(f"member {i} is not diagonalizable{suffix}")
+        super().__init__(f"{name or f'member {i}'} is not diagonalizable{suffix}")
 
 
 class NotADiagonalizerError(LmeError):

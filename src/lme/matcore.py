@@ -37,6 +37,7 @@ __all__ = [
     "direct_sum_permutation",
     "canonical_sort_indices",
     "cluster_values",
+    "cluster_means",
 ]
 
 # Reciprocal-condition floor below which an eigenvector matrix is treated as
@@ -152,16 +153,24 @@ def canonical_sort_indices(values: np.ndarray, gap: float) -> list[int]:
     """Deterministic ordering of complex values: ascending modulus, then
     descending real part, then descending imaginary part; differences below
     ``gap`` count as ties so that round-off cannot flip the order."""
+    values = np.asarray(values)
+    # plain floats, read once: the comparator runs O(n log n) times, and
+    # float arithmetic on them is that of the numpy scalars, bit for bit.
+    # The moduli come from Python's abs, which is the scalar's hypot; the
+    # vectorized np.abs differs from it in the last bit on about a third
+    # of complex inputs.
+    mods = [abs(z) for z in values.tolist()]
+    re = values.real.tolist()
+    im = values.imag.tolist()
 
     def cmp(i: int, j: int) -> int:
-        u, v = values[i], values[j]
-        d = abs(u) - abs(v)
+        d = mods[i] - mods[j]
         if abs(d) > gap:
             return -1 if d < 0 else 1
-        d = u.real - v.real
+        d = re[i] - re[j]
         if abs(d) > gap:
             return 1 if d < 0 else -1
-        d = u.imag - v.imag
+        d = im[i] - im[j]
         if abs(d) > gap:
             return 1 if d < 0 else -1
         return 0
@@ -220,10 +229,29 @@ def cluster_values(values: np.ndarray, gap: float) -> list[list[int]]:
     for i in range(n):
         groups.setdefault(root[i], []).append(i)
     clusters = list(groups.values())
-    # the mean of one value is that value
-    reps = np.array([values[c].mean() if len(c) > 1 else values[c[0]] for c in clusters])
-    order = canonical_sort_indices(reps, gap)
+    order = canonical_sort_indices(cluster_means(values, clusters), gap)
     return [clusters[i] for i in order]
+
+
+def cluster_means(values: np.ndarray, clusters) -> np.ndarray:
+    """The mean of ``values[c]`` for each index list ``c`` of ``clusters``,
+    in order.
+
+    Clusters of one size are stacked as the rows of one array and averaged
+    by one ``mean(axis=1)``.  Each row is summed pairwise like the 1-D
+    ``values[c].mean()``, so every mean is that one bit for bit, signed
+    zeros included (``np.add.reduceat`` sums differently and is not).
+    """
+    means = np.empty(len(clusters), dtype=np.result_type(values.dtype, float))
+    by_size: dict[int, list[int]] = {}
+    for k, c in enumerate(clusters):
+        by_size.setdefault(len(c), []).append(k)
+    for ks in by_size.values():
+        if len(ks) == 1:  # one cluster of its size: no stacking to gain
+            means[ks[0]] = values[clusters[ks[0]]].mean()
+        else:
+            means[ks] = values[np.array([clusters[k] for k in ks])].mean(axis=1)
+    return means
 
 
 def _joint_eigenbasis(mats, tol_recon: float, tol_cluster: float = TOL_CLUSTER) -> JointEigenbasis:

@@ -37,6 +37,7 @@ from .matcore import (
     _joint_eigenbasis,
     as_matrix,
     canonical_sort_indices,
+    cluster_means,
     cluster_values,
     commutes,
     fro,
@@ -111,24 +112,27 @@ class CommutantDescription:
     dimension: int
 
 
-def validate_family(members, tol: Tolerances = DEFAULT) -> CommutingFamily:
+def validate_family(members, tol: Tolerances = DEFAULT, names=None) -> CommutingFamily:
     """Check that the members commute pairwise and share one eigenbasis,
     which is kept on the result together with ``tol``.  When there is none,
     the first member that is not diagonalizable on its own is named, with
-    the reason its own eigenbasis failed."""
-    mats = [require_square(as_matrix(m, f"member {i}"), f"member {i}") for i, m in enumerate(members)]
+    the reason its own eigenbasis failed.  Error messages call member i
+    ``names[i]`` when ``names`` is given, else "member i"."""
+    members = list(members)
+    label = list(names) if names else [f"member {i}" for i in range(len(members))]
+    mats = [require_square(as_matrix(m, label[i]), label[i]) for i, m in enumerate(members)]
     if not mats:
         raise EmptyListError("family must contain at least one matrix")
     n = mats[0].shape[0]
     for i, m in enumerate(mats):
         if m.shape[0] != n:
-            raise DimensionMismatchError(f"member {i} has size {m.shape[0]}, expected {n}")
+            raise DimensionMismatchError(f"{label[i]} has size {m.shape[0]}, expected {n}")
     for i in range(len(mats)):
         for j in range(i + 1, len(mats)):
             if not commutes(mats[i], mats[j], tol.commute):
                 resid = fro(mats[i] @ mats[j] - mats[j] @ mats[i])
                 denom = max(1.0, fro(mats[i]) * fro(mats[j]))
-                raise NotCommutingError(i, j, resid / denom)
+                raise NotCommutingError(i, j, resid / denom, names and (label[i], label[j]))
     # Group the combination's eigenvalues no wider than recon accepts: QR over
     # two values delta apart leaves off-diagonal mass ~ delta cot(theta).
     # simultaneous_diagonalizer merges near-equal values at tol.cluster.
@@ -140,7 +144,7 @@ def validate_family(members, tol: Tolerances = DEFAULT) -> CommutingFamily:
             try:
                 _joint_eigenbasis([m], tol.recon, group_gap)
             except NotDiagonalizableError as own:
-                raise NotDiagonalizableError(i, own.detail) from None
+                raise NotDiagonalizableError(i, own.detail, names and label[i]) from None
         raise RefinementFailureError(
             "the members are diagonalizable one by one but share no eigenbasis within tolerance"
         ) from exc
@@ -161,9 +165,10 @@ def simultaneous_diagonalizer(family: CommutingFamily) -> StarSequence:
     ranks = np.empty((len(family), n), dtype=int)
     vectors = np.empty((len(family), n), dtype=complex)
     for j, (m, d) in enumerate(zip(family.members, basis.diagonals)):
-        for rank, group in enumerate(cluster_values(d, family.tol.cluster * max(1.0, fro(m)))):
+        groups = cluster_values(d, family.tol.cluster * max(1.0, fro(m)))
+        for rank, (group, mean) in enumerate(zip(groups, cluster_means(d, groups))):
             ranks[j, group] = rank
-            vectors[j, group] = d[group].mean()
+            vectors[j, group] = mean
     order = np.lexsort(ranks[::-1])
     split = np.zeros(n - 1, dtype=bool)
     levels = []
@@ -278,6 +283,17 @@ def induced_pair_without_diagonalizer(a, b, tol: Tolerances = DEFAULT):
     ``match_induced_sequences``.  Returns ``(avec, bvec, collision_set,
     beta)``; the assembled pair is cross-checked against the joint
     diagonalizer's induced pair before being returned.
+
+    A collision value is a shift at which a pair of another block lands on
+    an eigenvalue of B.  eig(B) is clustered once at the gap
+    ``tol.cluster * max(1, ||B||_F)``, with b_p the mean of cluster p, and
+    the values are (lam_s b_p - lam_r b_q) / (lam_r - lam_s) over the block
+    values lam_r, lam_s of A with r < s and the clusters p != q; swapping
+    (r, p) with (s, q) gives the same float.  Two eigenvalues in one
+    cluster collide at -b_p for every block pair, so each repeated cluster
+    adds -b_p once when A has two blocks or more.  ``collision_set`` is
+    the means of the collision values' clusters at the same gap, and
+    beta = 1 + max |z| over it (1.0 when it is empty).
     """
     amat = require_square(as_matrix(a, "A"), "A")
     bmat = require_square(as_matrix(b, "B"), "B")
@@ -288,22 +304,24 @@ def induced_pair_without_diagonalizer(a, b, tol: Tolerances = DEFAULT):
     blocks = star.levels[0]
     scale_a = max(1.0, fro(amat))
     scale_b = max(1.0, fro(bmat))
+    gap = tol.cluster * scale_b
     b_eigs = np.linalg.eigvals(bmat)
+    b_groups = cluster_values(b_eigs, gap)
+    b_reps = cluster_means(b_eigs, b_groups)
 
-    # (lam_s b_i - lam_r b_j) / (lam_r - lam_s) over blocks r != s and i != j,
-    # flattened in (r, s, i, j) order
+    # the collision values of the docstring, in (r, s, p, q) order, then
+    # the -b_p of the repeated clusters
     lam = avec[[lo for lo, _ in blocks]]
-    r_idx, s_idx = np.nonzero(~np.eye(len(blocks), dtype=bool))
-    i_idx, j_idx = np.nonzero(~np.eye(n, dtype=bool))
+    r_idx, s_idx = np.triu_indices(len(blocks), 1)
+    p_idx, q_idx = np.nonzero(~np.eye(len(b_reps), dtype=bool))
     lam_r, lam_s = lam[r_idx][:, None], lam[s_idx][:, None]
-    collisions = ((lam_s * b_eigs[i_idx] - lam_r * b_eigs[j_idx]) / (lam_r - lam_s)).ravel()
-    collision_set = [
-        complex(collisions[group].mean())
-        for group in cluster_values(collisions, tol.cluster * scale_b)
-    ]
+    collisions = ((lam_s * b_reps[p_idx] - lam_r * b_reps[q_idx]) / (lam_r - lam_s)).ravel()
+    if len(blocks) > 1:
+        repeated = np.array([len(g) > 1 for g in b_groups])
+        collisions = np.concatenate([collisions, -b_reps[repeated]])
+    collision_set = cluster_means(collisions, cluster_values(collisions, gap)).tolist()
     beta = 1.0 + max((abs(z) for z in collision_set), default=0.0)
 
-    gap = tol.cluster * scale_b
     free = np.ones(n, dtype=bool)
     bvec = np.empty(n, dtype=complex)
     zero_block = None

@@ -218,6 +218,15 @@ class TestNamedCommands:
         err = capsys.readouterr().err
         assert "NotDiagonalizable" in err
 
+    def test_stein_noncommuting_names_the_members_by_role(self, files, capsys):
+        # inside solve the Stein family is (A, -I, B, I, C)
+        write, _ = files
+        d = write("d.json", np.diag([1.0, 2.0]))
+        code = main(["stein", "--a", d, "--b", d, "--c", write("c.json", STEIN2_C)])
+        assert code == EXIT_HYPOTHESIS
+        err = capsys.readouterr().err
+        assert err.startswith("hypothesis violated: NotCommutingError: A[0] and C do not commute (")
+
     def test_stein_noncommuting_refused_then_oracle(self, files):
         write, tmp = files
         # A X A - 2X = C rescaled into Stein form: (A/2) X A - X = C/2
@@ -733,3 +742,25 @@ def test_parser_is_built_once(files, monkeypatch):
     assert main(argv) == EXIT_OK
     assert main(["verify", "--trials", "1", "--out", str(tmp / "v.json")]) == EXIT_OK
     assert built == []
+
+
+def test_one_hypothesis_message_on_every_command(files, capsys):
+    write, _ = files
+    j, i2 = write("j.json", JORDAN), write("i2.json", np.eye(2))
+    runs = {
+        "solve": ["solve", "--a", j, "--b", i2, "--c", i2],
+        "stein": ["stein", "--a", j, "--b", i2, "--c", i2],
+        "verify": ["verify", "--a", j, "--b", i2, "--c", i2],
+        "diagonalize": ["diagonalize", j],
+    }
+    err = {}
+    for command, argv in runs.items():
+        assert main(argv) == EXIT_HYPOTHESIS
+        err[command] = capsys.readouterr().err
+    line = err["solve"]
+    assert line.startswith("hypothesis violated: NotDiagonalizableError: A[0] is not diagonalizable: ")
+    assert line.count("\n") == 1
+    assert err["stein"] == line
+    assert err["verify"] == line[:-1] + " (input files)\n"
+    # diagonalize has no equation: its members are its files, in order
+    assert err["diagonalize"] == line.replace("A[0]", "member 0")

@@ -29,6 +29,8 @@ from lme.errors import (
     DimensionMismatchError,
     HypothesisViolatedError,
     InconsistentInputError,
+    NotCommutingError,
+    NotDiagonalizableError,
     NotHermitianRhsError,
     NotNormalError,
 )
@@ -184,6 +186,24 @@ class TestSolve:
         with pytest.raises(HypothesisViolatedError):
             solve(stein_noncommuting_spec())
 
+    @pytest.mark.parametrize("spec, error, indices, message", [
+        # stein A X B - X = C is the family (A, -I, B, I, C)
+        (lambda: equation_spec([np.diag([1.0, 2.0]), -I2], [np.diag([1.0, 2.0]), I2], STEIN2_C),
+         NotCommutingError, (0, 4), "A[0] and C do not commute"),
+        (lambda: equation_spec([I2, I2], [np.diag([1.0, 2.0]), STEIN2_C], I2),
+         NotCommutingError, (2, 3), "B[0] and B[1] do not commute"),
+        (lambda: stein_jordan_spec(), NotDiagonalizableError, (0,), "A[0] is not diagonalizable"),
+        (lambda: equation_spec([I2], [I2], JORDAN), NotDiagonalizableError, (2,), "C is not diagonalizable"),
+    ])
+    def test_hypothesis_failure_names_members_by_role(self, spec, error, indices, message):
+        with pytest.raises(HypothesisViolatedError) as info:
+            solve(spec())
+        cause = info.value.cause
+        assert isinstance(cause, error)
+        # the integer indices into spec.members() stay as they were
+        assert (cause.i, getattr(cause, "j", None))[:len(indices)] == indices
+        assert str(cause).startswith(message)
+
     def test_basis_linearly_independent(self):
         res = solve(homogeneous_spec())
         stacked = np.stack([b.flatten() for b in res.basis])
@@ -337,9 +357,9 @@ class TestCheckConsistent:
         seen = []
         original = lme.equations.validate_family
 
-        def recording(members, tol):
+        def recording(members, tol, names=None):
             seen.append(tol.recon)
-            return original(members, tol)
+            return original(members, tol, names)
 
         monkeypatch.setattr(lme.equations, "validate_family", recording)
         check_consistent(homogeneous_spec(), Tolerances(recon=3e-7))

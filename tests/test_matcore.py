@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lme.errors import DimensionMismatchError, EmptyListError, NonFiniteError, NonSquareError
 from lme.matcore import (
     Permutation,
     canonical_sort_indices,
+    cluster_means,
     cluster_values,
     commutes,
     direct_sum,
@@ -319,3 +320,83 @@ class TestClusterValues:
     def test_matches_all_pairs_reference(self, case):
         values, gap = case
         assert cluster_values(values, gap) == reference_clusters(values, gap)
+
+
+def bits(z):
+    """The bytes of a complex array: equal bits, signed zeros included."""
+    return np.asarray(z, dtype=complex).tobytes()
+
+
+class TestClusterMeans:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_bit_identical_to_one_mean_per_cluster(self, seed):
+        # sizes 1-40, each twice, and sizes past numpy's pairwise-sum block
+        # of 128; the values mix magnitudes so that the summation order
+        # shows in the last bits
+        rng = np.random.default_rng(seed)
+        sizes = [*range(1, 41), *range(1, 41), 129, 300]
+        n = sum(sizes)
+        values = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * 10.0 ** rng.integers(-8, 9, n)
+        perm = rng.permutation(n)
+        clusters = np.split(perm, np.cumsum(sizes)[:-1])
+        clusters = [sorted(c.tolist()) for c in clusters]
+        order = rng.permutation(len(clusters))
+        clusters = [clusters[i] for i in order]
+        want = [values[c].mean() for c in clusters]
+        assert bits(cluster_means(values, clusters)) == bits(want)
+
+    def test_signed_zeros(self):
+        values = np.array([complex(-0.0, -0.0), complex(-0.0, 0.0), complex(0.0, -0.0),
+                           complex(-0.0, -0.0), complex(-0.0, -0.0), 1e-300 + 0j])
+        clusters = [[0], [1], [2], [0, 3], [0, 3, 4], [1, 2], [2, 5]]
+        want = [values[c].mean() for c in clusters]
+        assert bits(cluster_means(values, clusters)) == bits(want)
+
+    def test_empty_and_real(self):
+        assert cluster_means(np.array([], dtype=complex), []).shape == (0,)
+        np.testing.assert_array_equal(cluster_means(np.array([1.0, 2.0, 4.0]), [[2], [0, 1]]), [4.0, 1.5])
+
+
+def reference_sort_indices(values, gap):
+    """The comparator canonical_sort_indices had before it read plain
+    floats: the same tests on numpy scalars."""
+    from functools import cmp_to_key
+
+    def cmp(i, j):
+        u, v = values[i], values[j]
+        d = abs(u) - abs(v)
+        if abs(d) > gap:
+            return -1 if d < 0 else 1
+        d = u.real - v.real
+        if abs(d) > gap:
+            return 1 if d < 0 else -1
+        d = u.imag - v.imag
+        if abs(d) > gap:
+            return 1 if d < 0 else -1
+        return 0
+
+    return sorted(range(len(values)), key=cmp_to_key(cmp))
+
+
+# Gaussian integers with exact modulus ties (1, i, -1, -i share modulus 1;
+# 1+i, 1-i, -1+i share sqrt 2), and perturbations of a few units of
+# round-off, all far below the gap.
+TIED = [1, 1j, -1, -1j, 1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j, 0, 2, 2j, -2]
+NUDGE = st.sampled_from([0.0, 1e-16, -1e-16, 2.2e-16, -4.4e-16, 1e-12])
+
+
+class TestCanonicalSortIndices:
+    @given(st.lists(st.tuples(st.sampled_from(TIED), NUDGE, NUDGE), max_size=30),
+           st.sampled_from([0.0, 1e-8]))
+    # the vectorized np.abs rounds the second modulus down one bit, the
+    # scalar abs does not, so a comparator on np.abs flips this pair
+    @example([(1 + 1j, 0.0, -4.4e-16), (1 + 1j, 2.2e-16, -4.4e-16)], 0.0)
+    @settings(max_examples=300, deadline=None)
+    def test_same_order_as_numpy_scalar_comparator(self, points, gap):
+        values = np.array([complex(z) + complex(dx, dy) for z, dx, dy in points], dtype=complex)
+        assert canonical_sort_indices(values, gap) == reference_sort_indices(values, gap)
+
+    def test_ties_within_the_gap_keep_input_order(self):
+        # modulus 1 throughout; 1 and 1 + 1e-12j tie on every key
+        values = np.array([1j, 1, -1j, -1, 1 + 1e-12j])
+        assert canonical_sort_indices(values, 1e-8) == [1, 4, 0, 2, 3]

@@ -22,6 +22,7 @@ from lme.matcore import (
     permutation_matrix,
     permute_vector,
 )
+import lme.simdiag
 from lme.simdiag import (
     _greedy_match,
     commutant,
@@ -320,6 +321,53 @@ class TestInducedPair:
 
         assert pair_multiset(avec, bvec) == pair_multiset(a_vals, b_vals)
 
+    def test_distinct_a_at_n32_recovers_planted_pairs(self):
+        # 32 distinct Gaussian integers; the index-pair collision set had
+        # 992 x 992 values to cluster, the block-pair one has 496 x 12 + 4
+        rng = np.random.default_rng(42)
+        lattice = np.add.outer(np.arange(-3, 4), 1j * np.arange(-3, 4)).ravel()
+        a_vals = rng.choice(lattice, size=32, replace=False)
+        b_vals = np.array([1, -1, 1j, 2])[np.arange(32) % 4]
+        s = random_diagonalizer(rng, 32)
+        s_inv = np.linalg.inv(s)
+        avec, bvec, _, _ = induced_pair_without_diagonalizer(
+            s @ np.diag(a_vals) @ s_inv, s @ np.diag(b_vals) @ s_inv
+        )
+
+        def pair_multiset(xs, ys):
+            return sorted(
+                (round(x.real, 6), round(x.imag, 6), round(y.real, 6), round(y.imag, 6))
+                for x, y in zip(xs, ys)
+            )
+
+        assert pair_multiset(avec, bvec) == pair_multiset(a_vals, b_vals)
+
+    @pytest.mark.parametrize("a_vals, b_vals, repeated", [
+        ([1, 2, 3, 1, 2, 3, 1, 2], [5, 5, 6, 7, 7, 7, 8, 8j], 2),
+        ([1, 2, 3, 4], [1, 1, 1, 1], 1),
+        ([1, 2, 3, 4, 5], [1, 2, 3, 4, 5], 0),
+        ([2, 2, 2], [1, 1, 3], 0),
+    ])
+    def test_one_collision_per_block_pair_and_cluster_pair(self, monkeypatch, a_vals, b_vals, repeated):
+        # d(d-1)/2 block pairs times q(q-1) ordered pairs of B's clusters,
+        # plus -b for each repeated cluster of B when A has two blocks or more
+        n = len(a_vals)
+        s = random_diagonalizer(np.random.default_rng(43), n)
+        s_inv = np.linalg.inv(s)
+        a = s @ np.diag(np.array(a_vals, dtype=complex)) @ s_inv
+        b = s @ np.diag(np.array(b_vals, dtype=complex)) @ s_inv
+        sizes = []
+        original = lme.simdiag.cluster_values
+
+        def recording(values, gap):
+            sizes.append(len(values))
+            return original(values, gap)
+
+        monkeypatch.setattr(lme.simdiag, "cluster_values", recording)
+        induced_pair_without_diagonalizer(a, b)
+        d, q = len(set(a_vals)), len(set(b_vals))
+        assert sizes[-1] == d * (d - 1) // 2 * q * (q - 1) + (repeated if d > 1 else 0)
+
     def test_noncommuting_rejected(self):
         a = np.array([[1, 1], [1, -1]], dtype=complex)
         c = np.array([[0, 1], [-1, 0]], dtype=complex)
@@ -580,3 +628,81 @@ class TestGreedyMatchAgainstLoops:
             assert str(got.value) == str(exc)
         else:
             assert match_induced_sequences(seq1, seq2, tol) == want
+
+
+# The collision set that induced_pair_without_diagonalizer formed before it
+# worked on B's clusters: every ordered block pair r != s of A and every
+# index pair i != j of eig(B), clustered at the gap.
+
+
+def reference_collision_set(a, b, tol=Tolerances()):
+    """(collision_set, beta) from all index pairs."""
+    star = simultaneous_diagonalizer(validate_family([a, b], tol))
+    blocks = star.levels[0]
+    b_eigs = np.linalg.eigvals(b)
+    lam = star.vectors[0][[lo for lo, _ in blocks]]
+    r_idx, s_idx = np.nonzero(~np.eye(len(blocks), dtype=bool))
+    i_idx, j_idx = np.nonzero(~np.eye(len(b_eigs), dtype=bool))
+    lam_r, lam_s = lam[r_idx][:, None], lam[s_idx][:, None]
+    collisions = ((lam_s * b_eigs[i_idx] - lam_r * b_eigs[j_idx]) / (lam_r - lam_s)).ravel()
+    gap = tol.cluster * max(1.0, fro(b))
+    collision_set = [complex(collisions[g].mean()) for g in cluster_values(collisions, gap)]
+    beta = 1.0 + max((abs(z) for z in collision_set), default=0.0)
+    return collision_set, beta
+
+
+GAUSSIAN = np.add.outer(np.arange(-2, 3), 1j * np.arange(-2, 3)).ravel()
+
+
+def planted_pair(seed, n, a_levels, b_count):
+    """A with n distinct Gaussian integers (a_levels 0) or a_levels values
+    repeated; B with b_count values of random multiplicity."""
+    rng = np.random.default_rng(seed)
+    if a_levels == 0:
+        a_vals = rng.choice(GAUSSIAN, size=n, replace=False)
+    else:
+        a_vals = rng.choice(GAUSSIAN, size=a_levels, replace=False)[rng.integers(0, a_levels, size=n)]
+    b_vals = rng.choice(GAUSSIAN, size=b_count, replace=False)[rng.integers(0, b_count, size=n)]
+    s = random_diagonalizer(rng, n)
+    s_inv = np.linalg.inv(s)
+    return s @ np.diag(a_vals) @ s_inv, s @ np.diag(b_vals) @ s_inv
+
+
+def assert_same_set(got, want, gap):
+    assert len(got) == len(want)
+    if got:
+        dist = np.abs(np.array(got)[:, None] - np.array(want)[None, :])
+        assert dist.min(axis=1).max() <= gap
+        assert dist.min(axis=0).max() <= gap
+
+
+class TestCollisionSetAgainstIndexPairs:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 10),
+        a_levels=st.sampled_from([0, 2, 3, 4]),
+        b_count=st.integers(1, 4),
+    )
+    def test_same_set_and_shift(self, seed, n, a_levels, b_count):
+        a, b = planted_pair(seed, n, a_levels, b_count)
+        want_set, want_beta = reference_collision_set(a, b)
+        avec, _, got_set, got_beta = induced_pair_without_diagonalizer(a, b)
+        gap = TOL_CLUSTER * max(1.0, fro(b))
+        assert_same_set(got_set, want_set, gap)
+        assert abs(got_beta - want_beta) <= gap
+        star = simultaneous_diagonalizer(validate_family([a, b]))
+        assert np.array_equal(avec, star.vectors[0])
+
+    def test_scalar_a_has_no_collisions(self):
+        _, b = planted_pair(44, 6, 0, 3)
+        _, _, coll, beta = induced_pair_without_diagonalizer(2 * np.eye(6), b)
+        assert coll == [] and reference_collision_set(2 * np.eye(6), b)[0] == []
+        assert beta == 1.0
+
+    def test_scalar_b_gives_only_minus_b(self):
+        a, _ = planted_pair(45, 6, 0, 1)
+        _, _, coll, beta = induced_pair_without_diagonalizer(a, (2 - 1j) * np.eye(6))
+        assert coll == [-(2 - 1j)]
+        assert beta == 1.0 + abs(2 - 1j)
+        assert_same_set(coll, reference_collision_set(a, (2 - 1j) * np.eye(6))[0], 1e-8)
