@@ -544,7 +544,6 @@ def named_form_pair_count(kind: str, a, b=None, tol: Tolerances = DEFAULT) -> in
     so no commutation hypothesis is needed.  sylvester counts a_r + b_s = 0,
     stein counts a_r b_s = 1, clyap counts conj(a_r) + a_s = 0 and dlyap
     counts conj(a_r) a_s = 1."""
-    amat = require_square(as_matrix(a, "A"), "A")
-    spec = named_form_spec(kind, amat, np.zeros_like(amat), b)
+    spec = named_form_spec(kind, a, np.zeros(np.shape(a)), b)
     eigs = [np.linalg.eigvals(m) for m in (*spec.a_list, *spec.b_list)]
     return relevant_matrix(eigs[:spec.k], eigs[spec.k:], np.zeros(spec.n), tol.zero).zero_count

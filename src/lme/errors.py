@@ -76,7 +76,7 @@ class IntersectionAmbiguousError(LmeError):
 
 
 class HypothesisViolatedError(LmeError):
-    """The commuting-diagonalizable hypothesis of the solver is violated."""
+    """A hypothesis of the solver fails: commuting-diagonalizable, or a Lyapunov gate."""
 
     def __init__(self, cause: LmeError | str):
         self.cause = cause if isinstance(cause, LmeError) else None
@@ -84,11 +84,11 @@ class HypothesisViolatedError(LmeError):
         super().__init__(detail)
 
 
-class NotNormalError(LmeError):
+class NotNormalError(HypothesisViolatedError):
     """A Lyapunov coefficient matrix must be normal."""
 
 
-class NotHermitianRhsError(LmeError):
+class NotHermitianRhsError(HypothesisViolatedError):
     """A Lyapunov right-hand side must be Hermitian."""
 
 

@@ -116,7 +116,8 @@ def validate_family(members, tol: Tolerances = DEFAULT, names=None) -> Commuting
     """Check that the members commute pairwise and share one eigenbasis,
     which is kept on the result together with ``tol``.  When there is none,
     the first member that is not diagonalizable on its own is named, with
-    the reason its own eigenbasis failed.  Error messages call member i
+    the reason its own eigenbasis failed, else the member the joint one left
+    off-diagonal mass on, and how much.  Error messages call member i
     ``names[i]`` when ``names`` is given, else "member i"."""
     members = list(members)
     label = list(names) if names else [f"member {i}" for i in range(len(members))]
@@ -145,8 +146,11 @@ def validate_family(members, tol: Tolerances = DEFAULT, names=None) -> Commuting
                 _joint_eigenbasis([m], tol.recon, group_gap)
             except NotDiagonalizableError as own:
                 raise NotDiagonalizableError(i, own.detail, names and label[i]) from None
+        # a singular or ill-conditioned eigenvector matrix names no member
+        culprit = f"{label[exc.i]} keeps " if exc.detail.startswith("off-diagonal") else ""
         raise RefinementFailureError(
-            "the members are diagonalizable one by one but share no eigenbasis within tolerance"
+            "the members are diagonalizable one by one but share no eigenbasis "
+            f"within tolerance ({culprit}{exc.detail})"
         ) from exc
     return CommutingFamily(tuple(mats), tol, basis)
 
@@ -272,17 +276,16 @@ def induced_pair_without_diagonalizer(a, b, tol: Tolerances = DEFAULT):
     """Compatible eigenvalue ordering for two commuting diagonalizable
     matrices, computed from eigenvalues alone.
 
-    The first vector is the star vector of ``a``, and its eigenvalue blocks
-    are the first level of the star sequence, both read off the family's
-    joint eigenbasis (the one eigensolve of ``validate_family``).  For each
-    nonzero block, the matching block of ``b``-eigenvalues is recovered as
-    the multiset intersection of eig(B) with
-    eig((AB + beta*A)/lambda - beta*I) for a shift ``beta`` chosen outside
-    the set of collision values; a zero eigenvalue block receives whatever
-    remains.  The intersection uses the same greedy matcher as
+    The family [A, B] is validated once (errors name A and B).  The first
+    vector is the star vector of ``a``, and its eigenvalue blocks are the
+    first level of the star sequence, both read off the family's joint
+    eigenbasis.  For each nonzero block, the matching block of
+    ``b``-eigenvalues is recovered as the multiset intersection of eig(B)
+    with eig((AB + beta*A)/lambda - beta*I) for a shift ``beta`` chosen
+    outside the set of collision values; what no nonzero block took fills
+    the zero eigenvalue block.  The intersection uses the greedy matcher of
     ``match_induced_sequences``.  Returns ``(avec, bvec, collision_set,
-    beta)``; the assembled pair is cross-checked against the joint
-    diagonalizer's induced pair before being returned.
+    beta)``, cross-checked against the joint diagonalizer's induced pair.
 
     A collision value is a shift at which a pair of another block lands on
     an eigenvalue of B.  eig(B) is clustered once at the gap
@@ -295,16 +298,19 @@ def induced_pair_without_diagonalizer(a, b, tol: Tolerances = DEFAULT):
     the means of the collision values' clusters at the same gap, and
     beta = 1 + max |z| over it (1.0 when it is empty).
     """
-    amat = require_square(as_matrix(a, "A"), "A")
-    bmat = require_square(as_matrix(b, "B"), "B")
-    family = validate_family([amat, bmat], tol)
+    family = validate_family([a, b], tol, ("A", "B"))
+    return _induced_pair(family, simultaneous_diagonalizer(family))
+
+
+def _induced_pair(family: CommutingFamily, star: StarSequence):
+    """``induced_pair_without_diagonalizer`` on the validated family [A, B]
+    and its star sequence."""
+    amat, bmat = family.members
+    tol = family.tol
     n = family.size
-    star = simultaneous_diagonalizer(family)
     avec = star.vectors[0]
     blocks = star.levels[0]
-    scale_a = max(1.0, fro(amat))
-    scale_b = max(1.0, fro(bmat))
-    gap = tol.cluster * scale_b
+    gap = tol.cluster * max(1.0, fro(bmat))
     b_eigs = np.linalg.eigvals(bmat)
     b_groups = cluster_values(b_eigs, gap)
     b_reps = cluster_means(b_eigs, b_groups)
@@ -322,14 +328,15 @@ def induced_pair_without_diagonalizer(a, b, tol: Tolerances = DEFAULT):
     collision_set = cluster_means(collisions, cluster_values(collisions, gap)).tolist()
     beta = 1.0 + max((abs(z) for z in collision_set), default=0.0)
 
+    # the scalar abs, as in canonical_sort_indices: np.abs can differ in the last bit
+    zero_tol = tol.zero * max(1.0, fro(amat))
+    zero = [abs(v) <= zero_tol for v in lam]
+    if sum(zero) > 1:
+        raise IntersectionAmbiguousError("multiple zero eigenvalue blocks")
     free = np.ones(n, dtype=bool)
     bvec = np.empty(n, dtype=complex)
-    zero_block = None
     for q, (lo, hi) in enumerate(blocks):
-        if abs(lam[q]) <= tol.zero * scale_a:
-            if zero_block is not None:
-                raise IntersectionAmbiguousError("multiple zero eigenvalue blocks")
-            zero_block = (lo, hi)
+        if zero[q]:
             continue
         shifted = (amat @ bmat + beta * amat) / lam[q] - beta * np.eye(n)
         cols, _ = _greedy_match(np.abs(np.linalg.eigvals(shifted)[:, None] - b_eigs), gap, free)
@@ -339,16 +346,11 @@ def induced_pair_without_diagonalizer(a, b, tol: Tolerances = DEFAULT):
                 f"block {q} matched {matched.size} eigenvalues, expected {hi - lo}"
             )
         bvec[lo:hi] = matched[canonical_sort_indices(matched, gap)]
+    # the leftovers fill the zero block, or the empty slice when A has none;
+    # every other block took exactly its size, so they always fit
+    lo, hi = blocks[zero.index(True)] if any(zero) else (n, n)
     remaining = b_eigs[free]
-    if zero_block is not None:
-        lo, hi = zero_block
-        if remaining.size != hi - lo:
-            raise IntersectionAmbiguousError(
-                f"zero block needs {hi - lo} eigenvalues, {remaining.size} remain"
-            )
-        bvec[lo:hi] = remaining[canonical_sort_indices(remaining, gap)]
-    elif remaining.size:
-        raise IntersectionAmbiguousError(f"{remaining.size} eigenvalues left unassigned")
+    bvec[lo:hi] = remaining[canonical_sort_indices(remaining, gap)]
 
     try:
         match_induced_sequences([star.vectors[0], star.vectors[1]], [avec, bvec], tol.cluster)

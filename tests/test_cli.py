@@ -7,6 +7,7 @@ import pytest
 
 import lme.cli
 import lme.equations
+import lme.simdiag
 from lme.cli import (
     EXIT_ERROR,
     EXIT_HYPOTHESIS,
@@ -521,6 +522,25 @@ class TestVerifyCommand:
         assert code == EXIT_MISMATCH
         assert read_report(out)["agreement"] is False
 
+    def test_inject_fault_on_a_dimension_zero_instance(self, files):
+        # A X B = C with A = S diag(1, 2, 3) S^T, B = I: every cell a_r b_s
+        # is nonzero, so the basis is empty and only the verdicts can be
+        # corrupted; the negative control must fail here too
+        write, tmp = files
+        s = np.linalg.qr(np.random.default_rng(9).standard_normal((3, 3)))[0]
+        argv = [
+            "verify",
+            "--a", write("a.json", s @ np.diag([1.0, 2.0, 3.0]) @ s.T),
+            "--b", write("b.json", np.eye(3)),
+            "--c", write("c.json", s @ np.diag([1.0, 1.0, 2.0]) @ s.T),
+            "--out", str(tmp / "v.json"),
+        ]
+        assert main(argv) == EXIT_OK
+        assert main(argv + ["--inject-fault"]) == EXIT_MISMATCH
+        report = read_report(tmp / "v.json")
+        assert report["agreement"] is False
+        assert report["failures"] == ["dimension differs: structured=1, oracle=0"]
+
     def test_only_read_tolerances(self, files, capsys):
         _, tmp = files
         with pytest.raises(SystemExit) as excinfo:
@@ -571,6 +591,34 @@ class TestDiagonalizeCommand:
         np.testing.assert_allclose([re for re, _ in pair["b"]], [0, 2, 2], atol=1e-9)
         coll = sorted(re for re, _ in pair["collision_set"])
         np.testing.assert_allclose(coll, [-2, -1], atol=1e-9)
+
+    def test_pair_reuses_the_joint_eigensolve(self, files, monkeypatch):
+        # --pair reads the pair off the family and star sequence the command
+        # has built: one validate_family, one eig
+        write, tmp = files
+        rng = np.random.default_rng(44)
+        s = np.linalg.qr(rng.standard_normal((5, 5)))[0]
+        a = s @ np.diag([1.0, 1.0, 2.0, 0.0, 3.0]) @ s.T
+        b = s @ np.diag([4.0, 5.0, 4.0, 6.0, 6.0]) @ s.T
+        argv = ["diagonalize", write("a.json", a), write("b.json", b), "--pair",
+                "--out", str(tmp / "d.json")]
+        calls = []
+
+        def counted(name, original):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(np.linalg, "eig", counted("eig", np.linalg.eig))
+        validate = counted("validate_family", lme.simdiag.validate_family)
+        monkeypatch.setattr(lme.cli, "validate_family", validate)
+        monkeypatch.setattr(lme.simdiag, "validate_family", validate)
+        assert main(argv) == EXIT_OK
+        assert sorted(calls) == ["eig", "validate_family"]
+        pair = read_report(tmp / "d.json")["pair"]
+        np.testing.assert_allclose([re for re, _ in pair["a"]], [0, 1, 1, 2, 3], atol=1e-9)
+        np.testing.assert_allclose([re for re, _ in pair["b"]], [6, 4, 5, 4, 6], atol=1e-9)
 
     def test_noncommuting_pair(self, files):
         write, _ = files

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -33,6 +34,7 @@ from lme.errors import (
     NotDiagonalizableError,
     NotHermitianRhsError,
     NotNormalError,
+    RefinementFailureError,
 )
 from lme.instances import (
     random_commuting_triple,
@@ -203,6 +205,19 @@ class TestSolve:
         # the integer indices into spec.members() stay as they were
         assert (cause.i, getattr(cause, "j", None))[:len(indices)] == indices
         assert str(cause).startswith(message)
+
+    def test_no_joint_eigenbasis_names_the_member(self):
+        # diagonalizable members that a loose commutation gate lets through
+        # but that share no eigenbasis: the cause names the member left with
+        # off-diagonal mass, by its role, and how much
+        b = np.array([[1, 1e-3], [0, 2]], dtype=complex)
+        spec = equation_spec([np.diag([1.0, 2.0])], [b], np.zeros((2, 2)))
+        with pytest.raises(HypothesisViolatedError) as info:
+            solve(spec, Tolerances(commute=1e-2))
+        cause = info.value.cause
+        assert isinstance(cause, RefinementFailureError)
+        named = r"\((A\[\d\]|B\[\d\]|C) keeps off-diagonal mass \d\.\d{3}e-\d\d in the eigenbasis\)$"
+        assert re.search(named, str(cause))
 
     def test_basis_linearly_independent(self):
         res = solve(homogeneous_spec())
@@ -477,6 +492,19 @@ class TestContinuousLyapunov:
     def test_non_hermitian_rhs_rejected(self):
         with pytest.raises(NotHermitianRhsError):
             solve_continuous_lyapunov(np.eye(2), np.array([[0, 1], [0, 0]]))
+
+    def test_gate_errors_are_hypothesis_violations(self):
+        # string causes: the messages stay as they are and .cause is None
+        for call, error, message in (
+            (lambda: solve_continuous_lyapunov(JORDAN, np.zeros((2, 2))), NotNormalError,
+             "A must be a normal matrix"),
+            (lambda: solve_continuous_lyapunov(np.eye(2), JORDAN), NotHermitianRhsError,
+             "C must be Hermitian"),
+        ):
+            with pytest.raises(HypothesisViolatedError) as info:
+                call()
+            assert isinstance(info.value, error)
+            assert info.value.cause is None and str(info.value) == message
 
     def test_skew_spectrum_dimension(self):
         # conj(a_r) + a_s vanishes only for the pairs (1,1) and (2,2) here:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -112,12 +114,23 @@ class TestCompare:
         res = solve(spec)
         bad = list(res.basis)
         bad[0] = bad[0] + 0.01
-        from dataclasses import replace
-
         corrupted = replace(res, basis=tuple(bad))
         with pytest.raises(OracleMismatchError) as exc:
             compare(corrupted, vectorize(spec))
         assert any("nullspace" in f for f in exc.value.failures)
+
+    @pytest.mark.parametrize("field, change, failure", [
+        ("consistent", lambda v: not v, "consistency differs: structured=False, oracle=True"),
+        ("dimension", lambda v: v + 1, "dimension differs: structured=3, oracle=2"),
+    ])
+    def test_verdict_mismatch_detected(self, field, change, failure):
+        # a wrong verdict with an untouched basis and x_hat is caught by the
+        # verdict checks alone
+        spec = equation_spec([HOMOG_A, 2 * I3], [HOMOG_B, I3], np.zeros((3, 3)))
+        res = solve(spec)
+        with pytest.raises(OracleMismatchError) as exc:
+            compare(replace(res, **{field: change(getattr(res, field))}), vectorize(spec))
+        assert exc.value.failures == [failure]
 
     def test_referees_at_the_result_tolerances(self):
         # eigenvalue pairs 1e-10 apart, kept apart by tolerances below that

@@ -4,6 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lme.errors import (
+    DimensionMismatchError,
+    IntersectionAmbiguousError,
     NoMatchingPermutationError,
     NotADiagonalizerError,
     NotCommutingError,
@@ -25,6 +27,7 @@ from lme.matcore import (
 import lme.simdiag
 from lme.simdiag import (
     _greedy_match,
+    _induced_pair,
     commutant,
     induced_pair_without_diagonalizer,
     induced_vectors,
@@ -88,6 +91,23 @@ class TestValidateFamily:
         b = np.array([[1, 1e-3], [0, 2]], dtype=complex)
         with pytest.raises(RefinementFailureError):
             validate_family([np.diag([1.0, 2.0]), b], tol=Tolerances(commute=1e-2))
+
+    def test_singular_joint_eigenvector_matrix_names_no_member(self, monkeypatch):
+        # an eigenvector-matrix failure carries index 0 by convention; the
+        # message gives its reason and no member
+        original = lme.simdiag._joint_eigenbasis
+
+        def singular_for_families(mats, *args):
+            if len(mats) > 1:
+                raise NotDiagonalizableError(0, "its eigenvector matrix is singular")
+            return original(mats, *args)
+
+        monkeypatch.setattr(lme.simdiag, "_joint_eigenbasis", singular_for_families)
+        with pytest.raises(RefinementFailureError) as exc:
+            validate_family([np.eye(2), np.eye(2)], names=("A", "B"))
+        assert str(exc.value).endswith(
+            "share no eigenbasis within tolerance (its eigenvector matrix is singular)"
+        )
 
     def test_fallback_weights_when_eigenspaces_collide(self):
         # B is built against the first weights: mu_0 A + mu_1 B has the
@@ -373,6 +393,40 @@ class TestInducedPair:
         c = np.array([[0, 1], [-1, 0]], dtype=complex)
         with pytest.raises(NotCommutingError):
             induced_pair_without_diagonalizer(a, c)
+
+    def test_validation_names_a_and_b(self):
+        with pytest.raises(NotCommutingError) as exc:
+            induced_pair_without_diagonalizer([[1, 1], [1, -1]], [[0, 1], [-1, 0]])
+        assert str(exc.value).startswith("A and B do not commute")
+        with pytest.raises(DimensionMismatchError) as exc:
+            induced_pair_without_diagonalizer(np.eye(2), np.eye(3))
+        assert str(exc.value) == "B has size 3, expected 2"
+
+    @pytest.mark.parametrize("a_vals, b_vals", [
+        ([1, 1, 2, 0, 3], [4, 5, 4, 6, 6]),  # a zero block
+        ([1, 2, 1j, 2, -1], [3, 3, 1, 1, 2]),  # none
+        ([0, 0, 0, 0, 0], [1, 2, 3, 1, 2]),  # nothing but the zero block
+    ])
+    def test_core_matches_the_public_function(self, a_vals, b_vals):
+        s = random_diagonalizer(np.random.default_rng(45), len(a_vals))
+        s_inv = np.linalg.inv(s)
+        a = s @ np.diag(np.array(a_vals, dtype=complex)) @ s_inv
+        b = s @ np.diag(np.array(b_vals, dtype=complex)) @ s_inv
+        family = validate_family([a, b])
+        avec, bvec, coll, beta = _induced_pair(family, simultaneous_diagonalizer(family))
+        want = induced_pair_without_diagonalizer(a, b)
+        assert np.array_equal(avec, want[0]) and np.array_equal(bvec, want[1])
+        assert (coll, beta) == want[2:]
+
+    def test_multiple_zero_blocks_rejected(self):
+        # at a zero threshold of 1 both blocks 0 and 0.5 count as zero
+        s = random_diagonalizer(np.random.default_rng(46), 3)
+        s_inv = np.linalg.inv(s)
+        a = s @ np.diag([0, 0.5, 2]) @ s_inv
+        b = s @ np.diag([1, 2, 3]) @ s_inv
+        assert abs(induced_pair_without_diagonalizer(a, b)[0][0]) < 1e-12
+        with pytest.raises(IntersectionAmbiguousError, match="multiple zero eigenvalue blocks"):
+            induced_pair_without_diagonalizer(a, b, Tolerances(zero=1 / fro(a)))
 
     def test_one_eigensolve_per_pair(self, monkeypatch):
         _, _, (a, b) = random_family(np.random.default_rng(40), 8, 2)
