@@ -137,7 +137,13 @@ def standard_spec(spec: EquationSpec) -> EquationSpec:
 
 @dataclass(frozen=True)
 class RelevantMatrix:
-    """gamma[r, s] = sum_j a^j_r b^j_s with its thresholded zero pattern."""
+    """gamma[r, s] = sum_j a^j_r b^j_s with its thresholded zero pattern.
+
+    In the result of ``solve``, ``gamma`` and the vectors are taken over the
+    cluster means (``star.vectors``), but ``zero_mask`` and ``zero_count``
+    are the union of the zero pattern over the means and the one over the
+    raw diagonals (``star.diagonals``): a cell is zero when either says so.
+    """
 
     gamma: np.ndarray
     a_vectors: tuple[np.ndarray, ...]
@@ -281,11 +287,14 @@ def solve(spec: EquationSpec, tol: Tolerances = DEFAULT) -> AffineSolutionSet:
         raise HypothesisViolatedError(exc) from exc
     star = simultaneous_diagonalizer(family)
     k = spec.k
-    avecs = star.vectors[:k]
-    bvecs = star.vectors[k:2 * k]
-    cvec = star.vectors[2 * k]
-    rel = relevant_matrix(avecs, bvecs, cvec, tol.zero)
-    c_zero = _c_zero_mask(cvec, tol.zero)
+    vecs, raw = star.vectors, star.diagonals
+    rel = relevant_matrix(vecs[:k], vecs[k:2 * k], vecs[2 * k], tol.zero)
+    # a cell is zero when either spectrum says so: a cluster that merges
+    # values delta apart moves its mean by delta/m, enough to lift a cell
+    # that cancels exactly on the raw diagonals off the threshold
+    mask = rel.zero_mask | relevant_matrix(raw[:k], raw[k:2 * k], raw[2 * k], tol.zero).zero_mask
+    rel = replace(rel, zero_mask=mask, zero_count=int(mask.sum()))
+    c_zero = _c_zero_mask(vecs[2 * k], tol.zero)
     diag_zero = np.diag(rel.zero_mask)
     witness = None
     for r in range(spec.n):
@@ -296,7 +305,6 @@ def solve(spec: EquationSpec, tol: Tolerances = DEFAULT) -> AffineSolutionSet:
     s, s_inv = star.diagonalizer, star.inverse
     # the raw diagonals, not the cluster means: their ratio is what makes
     # S diag(d) S^{-1} solve the equation on C itself
-    raw = star.diagonals
     gamma_diag = sum(a * b for a, b in zip(raw[:k], raw[k:2 * k]))
     d = np.divide(raw[2 * k], gamma_diag, out=np.zeros(spec.n, complex), where=~diag_zero)
     x = (s * d) @ s_inv
@@ -378,7 +386,7 @@ def consistency_evidence(spec: EquationSpec, result: AffineSolutionSet) -> Consi
     standard equation, and the candidate's residual in the standard
     equation.  A diagnostic is added when the Drazin candidate and
     ``result.x_hat`` (read off the eigenbasis) differ by more than the
-    ``res`` tolerance, relative."""
+    ``res`` tolerance, relative, or by NaN."""
     tol = result.tolerances
     xh = x_hat(spec, tol)
     res_eq = equation_residual(spec, xh)
@@ -398,7 +406,7 @@ def consistency_evidence(spec: EquationSpec, result: AffineSolutionSet) -> Consi
             "this indicates numerical conditioning trouble, not a verdict"
         )
     gap = fro(result.x_hat - xh)
-    if gap > tol.res * max(1.0, fro(xh)):
+    if not gap <= tol.res * max(1.0, fro(xh)):
         diagnostics.append(
             f"the eigenbasis candidate differs from the Drazin candidate by {gap:.3e} "
             "(Frobenius norm); the joint eigenbasis may be ill-conditioned"

@@ -7,7 +7,7 @@ function validates its inputs and returns fresh arrays.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cmp_to_key
 
 import numpy as np
@@ -141,12 +141,14 @@ class JointEigenbasis:
     """A matrix S that diagonalizes every member of a family, with S^{-1}
     and the diagonals of S^{-1} M_j S, one per member.  Columns of S that
     share an eigenvalue of the family's generic combination are orthonormal;
-    ``condition_estimate`` is the 1-norm condition number of S."""
+    ``condition_estimate`` is the 1-norm condition number of S.  ``_norms``
+    keeps the members' Frobenius norms that the basis was scaled by."""
 
     diagonalizer: np.ndarray
     inverse: np.ndarray
     diagonals: tuple[np.ndarray, ...]
     condition_estimate: float
+    _norms: tuple[float, ...] = field(default=(), repr=False, compare=False)
 
 
 def canonical_sort_indices(values: np.ndarray, gap: float) -> list[int]:
@@ -193,6 +195,13 @@ def cluster_values(values: np.ndarray, gap: float) -> list[list[int]]:
     (widened by a few units of round-off) further on.  No linked pair is
     missed, and the link test itself is the exact ``abs(u - v) <= gap``.
     """
+    return _clusters(values, gap)[0]
+
+
+def _clusters(values: np.ndarray, gap: float) -> tuple[list[list[int]], np.ndarray]:
+    """``cluster_values`` together with the mean of each cluster, in the
+    same order: the means the canonical order is taken from, so a caller
+    that needs them does not take them a second time."""
     n = len(values)
     # union-find over positions in sweep order; by_key maps them to indices
     parent = list(range(n))
@@ -229,8 +238,9 @@ def cluster_values(values: np.ndarray, gap: float) -> list[list[int]]:
     for i in range(n):
         groups.setdefault(root[i], []).append(i)
     clusters = list(groups.values())
-    order = canonical_sort_indices(cluster_means(values, clusters), gap)
-    return [clusters[i] for i in order]
+    means = cluster_means(values, clusters)
+    order = canonical_sort_indices(means, gap)
+    return [clusters[i] for i in order], means[order]
 
 
 def cluster_means(values: np.ndarray, clusters) -> np.ndarray:
@@ -241,6 +251,8 @@ def cluster_means(values: np.ndarray, clusters) -> np.ndarray:
     by one ``mean(axis=1)``.  Each row is summed pairwise like the 1-D
     ``values[c].mean()``, so every mean is that one bit for bit, signed
     zeros included (``np.add.reduceat`` sums differently and is not).
+    The clustering takes the means once, to order the clusters, and hands
+    them on with them, so a member's means are not taken twice.
     """
     means = np.empty(len(clusters), dtype=np.result_type(values.dtype, float))
     by_size: dict[int, list[int]] = {}
@@ -254,7 +266,7 @@ def cluster_means(values: np.ndarray, clusters) -> np.ndarray:
     return means
 
 
-def _joint_eigenbasis(mats, tol_recon: float, tol_cluster: float = TOL_CLUSTER) -> JointEigenbasis:
+def _joint_eigenbasis(mats, tol_recon: float, tol_cluster: float = TOL_CLUSTER, norms=None) -> JointEigenbasis:
     """One eigenbasis for a family of square matrices of one size, from one
     ``eig``.
 
@@ -262,26 +274,40 @@ def _joint_eigenbasis(mats, tol_recon: float, tol_cluster: float = TOL_CLUSTER) 
     weights of ``_MIX_SEED``, has the joint eigenspaces of commuting
     diagonalizable members as its eigenspaces.  Its eigenvectors are grouped
     by its eigenvalue clusters at the ``tol_cluster`` gap, and each group is
-    orthonormalized by QR.  When that basis fails, the weights of
-    ``_FALLBACK_SEED`` get one more ``eig``; if it fails too, this raises
-    NotDiagonalizableError(i) for the first member i that S^{-1} M_i S leaves
-    with off-diagonal mass above ``tol_recon`` (relative to
-    max(1, ||M_i||_F)), or NotDiagonalizableError(0) when S is singular below
-    the rcond floor.
+    orthonormalized by QR: one ``qr`` call per distinct group size, over the
+    groups of that size stacked, which runs LAPACK on each group as its own
+    call would.  When that basis fails, the weights of ``_FALLBACK_SEED`` get
+    one more ``eig``; if it fails too, this raises NotDiagonalizableError(i)
+    for the first member i that S^{-1} M_i S leaves with off-diagonal mass
+    above ``tol_recon`` (relative to max(1, ||M_i||_F)), or
+    NotDiagonalizableError(0) when S is singular below the rcond floor.
+
+    ``norms`` are the members' Frobenius norms when the caller has them
+    (they are taken here otherwise), and the weights and the ``tol_recon``
+    thresholds reuse them.  S^{-1} M_j S stays one product per member: stacked
+    into one batched matmul it was slower at n=64 and grew the peak memory.
     """
     try:
-        return _eigenbasis_of_mix(mats, _MIX_SEED, tol_recon, tol_cluster)
+        return _eigenbasis_of_mix(mats, _MIX_SEED, tol_recon, tol_cluster, norms)
     except NotDiagonalizableError:
-        return _eigenbasis_of_mix(mats, _FALLBACK_SEED, tol_recon, tol_cluster)
+        return _eigenbasis_of_mix(mats, _FALLBACK_SEED, tol_recon, tol_cluster, norms)
 
 
-def _eigenbasis_of_mix(mats, seed: int, tol_recon: float, tol_cluster: float) -> JointEigenbasis:
+def _eigenbasis_of_mix(mats, seed: int, tol_recon: float, tol_cluster: float, norms=None) -> JointEigenbasis:
     """``_joint_eigenbasis`` with the weights of one seed."""
+    if norms is None:
+        norms = [fro(m) for m in mats]
     mu = np.random.default_rng(seed).standard_normal((len(mats), 2)) @ (1, 1j)
-    mix = sum(w / max(1.0, fro(m)) * m for w, m in zip(mu, mats))
+    mix = sum(w / max(1.0, norm) * m for w, norm, m in zip(mu, norms, mats))
     w, v = np.linalg.eig(mix)
     groups = cluster_values(w, tol_cluster * max(1.0, fro(mix)))
-    s = np.hstack([np.linalg.qr(v[:, g])[0] for g in groups])
+    # the groups side by side, as an hstack of their factors would place them
+    s = np.empty(v.shape, dtype=v.dtype)
+    starts = np.cumsum([0, *map(len, groups)])
+    for size in {len(g) for g in groups}:
+        same = [i for i, g in enumerate(groups) if len(g) == size]
+        q = np.linalg.qr(v[:, [groups[i] for i in same]].transpose(1, 0, 2))[0]
+        s[:, starts[same, None] + np.arange(size)] = q.transpose(1, 0, 2)
     try:
         s_inv = np.linalg.inv(s)
     except np.linalg.LinAlgError:
@@ -290,14 +316,14 @@ def _eigenbasis_of_mix(mats, seed: int, tol_recon: float, tol_cluster: float) ->
     if not cond * _RCOND_FLOOR < 1.0:
         raise NotDiagonalizableError(0, f"its eigenvector matrix has condition {cond:.3e}")
     diagonals = []
-    for i, m in enumerate(mats):
+    for i, (m, norm) in enumerate(zip(mats, norms)):
         d = s_inv @ m @ s
         diagonals.append(np.diag(d).copy())
         np.fill_diagonal(d, 0)
         off_mass = fro(d)
-        if off_mass > tol_recon * max(1.0, fro(m)):
+        if off_mass > tol_recon * max(1.0, norm):
             raise NotDiagonalizableError(i, f"off-diagonal mass {off_mass:.3e} in the eigenbasis")
-    return JointEigenbasis(s, s_inv, tuple(diagonals), cond)
+    return JointEigenbasis(s, s_inv, tuple(diagonals), cond, tuple(norms))
 
 
 def eig_decompose(m, tol: float = TOL_RECON, tol_cluster: float = TOL_CLUSTER) -> EigenDecomposition:
@@ -325,7 +351,16 @@ def commutes(a, b, tol: float = TOL_COMMUTE) -> bool:
     b = require_square(as_matrix(b, "B"), "B")
     if a.shape != b.shape:
         raise DimensionMismatchError(f"shapes differ: {a.shape} vs {b.shape}")
-    return fro(a @ b - b @ a) <= tol * max(1.0, fro(a) * fro(b))
+    return _commutes_within(a, b, tol, fro(a), fro(b))
+
+
+def _commutes_within(a: np.ndarray, b: np.ndarray, tol: float, norm_a: float, norm_b: float) -> bool:
+    """``commutes`` on validated square matrices of one shape, with their
+    Frobenius norms given.  tol * max(1, x) is max(tol, tol * x) bit for
+    bit, since rounding is monotone, so a residual within ``tol`` is
+    accepted before the norm product is formed."""
+    resid = fro(a @ b - b @ a)
+    return resid <= tol or resid <= tol * (norm_a * norm_b)
 
 
 def is_normal(m, tol: float = TOL_COMMUTE) -> bool:

@@ -110,7 +110,8 @@ def compare(
     (the oracle's rank test at ``result.tolerances.rank``), every structured
     basis matrix in the oracle nullspace, and the candidate solution
     satisfying the system when consistent.  Both relative residuals are
-    accepted up to ``tol``, by default ``result.tolerances.res``.  Raises
+    accepted up to ``tol``, by default ``result.tolerances.res``; a NaN
+    residual is not accepted.  Raises
     OracleMismatchError on the first failing check set, with every failure
     listed."""
     sol = oracle_solve(system, result.tolerances.rank)
@@ -131,7 +132,7 @@ def compare(
         res = float(np.linalg.norm(system.operator @ mat.flatten(order="F")))
         rel = res / (op_scale * max(1.0, fro(mat)))
         basis_residuals.append(rel)
-        if rel > tol:
+        if not rel <= tol:
             failures.append(f"basis matrix {i} leaves the nullspace (residual {rel:.3e})")
     xh_res = None
     if result.consistent:
@@ -139,7 +140,7 @@ def compare(
             np.linalg.norm(system.operator @ result.x_hat.flatten(order="F") - system.rhs_vec)
         )
         xh_res = raw / max(1.0, float(np.linalg.norm(system.rhs_vec)))
-        if xh_res > tol:
+        if not xh_res <= tol:
             failures.append(f"candidate solution violates the system (residual {xh_res:.3e})")
     if failures:
         raise OracleMismatchError(failures)

@@ -34,12 +34,13 @@ from .errors import (
 from .matcore import (
     JointEigenbasis,
     Permutation,
+    _clusters,
+    _commutes_within,
     _joint_eigenbasis,
     as_matrix,
     canonical_sort_indices,
     cluster_means,
     cluster_values,
-    commutes,
     fro,
     require_square,
 )
@@ -118,7 +119,14 @@ def validate_family(members, tol: Tolerances = DEFAULT, names=None) -> Commuting
     the first member that is not diagonalizable on its own is named, with
     the reason its own eigenbasis failed, else the member the joint one left
     off-diagonal mass on, and how much.  Error messages call member i
-    ``names[i]`` when ``names`` is given, else "member i"."""
+    ``names[i]`` when ``names`` is given, else "member i".
+
+    Each member's Frobenius norm is taken once, here, and reused by the
+    commutator tests, the weights of the joint eigensolve, its ``recon``
+    thresholds and the cluster gaps of ``simultaneous_diagonalizer``.  The
+    members are validated once too; the pairwise test runs on them as they
+    are.  Each commutator stays one pair of BLAS products: batched over all
+    pairs it was slower at n=128."""
     members = list(members)
     label = list(names) if names else [f"member {i}" for i in range(len(members))]
     mats = [require_square(as_matrix(m, label[i]), label[i]) for i, m in enumerate(members)]
@@ -128,22 +136,23 @@ def validate_family(members, tol: Tolerances = DEFAULT, names=None) -> Commuting
     for i, m in enumerate(mats):
         if m.shape[0] != n:
             raise DimensionMismatchError(f"{label[i]} has size {m.shape[0]}, expected {n}")
+    norms = [fro(m) for m in mats]
     for i in range(len(mats)):
         for j in range(i + 1, len(mats)):
-            if not commutes(mats[i], mats[j], tol.commute):
+            if not _commutes_within(mats[i], mats[j], tol.commute, norms[i], norms[j]):
                 resid = fro(mats[i] @ mats[j] - mats[j] @ mats[i])
-                denom = max(1.0, fro(mats[i]) * fro(mats[j]))
+                denom = max(1.0, norms[i] * norms[j])
                 raise NotCommutingError(i, j, resid / denom, names and (label[i], label[j]))
     # Group the combination's eigenvalues no wider than recon accepts: QR over
     # two values delta apart leaves off-diagonal mass ~ delta cot(theta).
     # simultaneous_diagonalizer merges near-equal values at tol.cluster.
     group_gap = min(tol.cluster, tol.recon)
     try:
-        basis = _joint_eigenbasis(mats, tol.recon, group_gap)
+        basis = _joint_eigenbasis(mats, tol.recon, group_gap, norms)
     except NotDiagonalizableError as exc:
         for i, m in enumerate(mats):
             try:
-                _joint_eigenbasis([m], tol.recon, group_gap)
+                _joint_eigenbasis([m], tol.recon, group_gap, norms[i:i + 1])
             except NotDiagonalizableError as own:
                 raise NotDiagonalizableError(i, own.detail, names and label[i]) from None
         # a singular or ill-conditioned eigenvector matrix names no member
@@ -163,16 +172,24 @@ def simultaneous_diagonalizer(family: CommutingFamily) -> StarSequence:
     ``tol.cluster`` and replaced by the cluster means.  Columns are sorted
     lexicographically by the canonical cluster ranks, member 0 first;
     ``levels[j]`` are the runs of equal ranks of members 0..j.
+
+    The gaps reuse the member norms that ``validate_family`` took.  Each
+    member's means come with its clusters, taken once, and its ranks and
+    vectors are set by one index operation each.
     """
     basis = family.eigenbasis
     n = family.size
+    norms = basis._norms or [fro(m) for m in family.members]
     ranks = np.empty((len(family), n), dtype=int)
     vectors = np.empty((len(family), n), dtype=complex)
-    for j, (m, d) in enumerate(zip(family.members, basis.diagonals)):
-        groups = cluster_values(d, family.tol.cluster * max(1.0, fro(m)))
-        for rank, (group, mean) in enumerate(zip(groups, cluster_means(d, groups))):
-            ranks[j, group] = rank
-            vectors[j, group] = mean
+    for j, (norm, d) in enumerate(zip(norms, basis.diagonals)):
+        groups, means = _clusters(d, family.tol.cluster * max(1.0, norm))
+        rank = [0] * n
+        for r, group in enumerate(groups):
+            for i in group:
+                rank[i] = r
+        ranks[j] = rank
+        vectors[j] = means[rank]
     order = np.lexsort(ranks[::-1])
     split = np.zeros(n - 1, dtype=bool)
     levels = []
@@ -310,7 +327,8 @@ def _induced_pair(family: CommutingFamily, star: StarSequence):
     n = family.size
     avec = star.vectors[0]
     blocks = star.levels[0]
-    gap = tol.cluster * max(1.0, fro(bmat))
+    norm_a, norm_b = family.eigenbasis._norms or (fro(amat), fro(bmat))
+    gap = tol.cluster * max(1.0, norm_b)
     b_eigs = np.linalg.eigvals(bmat)
     b_groups = cluster_values(b_eigs, gap)
     b_reps = cluster_means(b_eigs, b_groups)
@@ -329,7 +347,7 @@ def _induced_pair(family: CommutingFamily, star: StarSequence):
     beta = 1.0 + max((abs(z) for z in collision_set), default=0.0)
 
     # the scalar abs, as in canonical_sort_indices: np.abs can differ in the last bit
-    zero_tol = tol.zero * max(1.0, fro(amat))
+    zero_tol = tol.zero * max(1.0, norm_a)
     zero = [abs(v) <= zero_tol for v in lam]
     if sum(zero) > 1:
         raise IntersectionAmbiguousError("multiple zero eigenvalue blocks")

@@ -366,6 +366,60 @@ class TestFactoredSolutionSet:
         bad = lme.equations.consistency_evidence(spec, replace(res, x_hat=res.x_hat + 1e-6))
         assert any("Drazin candidate" in d for d in bad.diagnostics)
 
+    def test_evidence_flags_a_nan_candidate(self):
+        # nan > bound is False: a NaN gap must still add the diagnostic
+        spec = homogeneous_spec()
+        res = solve(spec)
+        nan = lme.equations.consistency_evidence(spec, replace(res, x_hat=np.full_like(res.x_hat, np.nan)))
+        assert any("differs from the Drazin candidate by nan" in d for d in nan.diagnostics)
+
+
+def perturbed_instances(delta, count=40):
+    """``random_equation_instance(default_rng(0), 6, 2, zero_diag_rows=1)``,
+    ``count`` times, with entry 0 of A[0]'s planted vector moved by
+    ``delta``; each spec comes with its exact dimension, the number of
+    planted gamma cells that are exactly zero."""
+    rng = np.random.default_rng(0)
+    for _ in range(count):
+        _, info = random_equation_instance(rng, 6, 2, zero_diag_rows=1)
+        s = info["S"]
+        s_inv = np.linalg.inv(s)
+        avecs = [v.copy() for v in info["a_vectors"]]
+        avecs[0][0] += delta
+        bvecs = info["b_vectors"]
+        gamma = sum(np.outer(a, b) for a, b in zip(avecs, bvecs))
+        mats = [s @ (v[:, None] * s_inv) for v in (*avecs, *bvecs, info["c_vector"])]
+        yield equation_spec(mats[:2], mats[2:4], mats[4]), int(np.count_nonzero(gamma == 0))
+
+
+class TestZeroMaskUnion:
+    # A cluster that merges m - 1 copies of v with v + delta has mean
+    # v + delta/m, so a mask over the means alone lifted cells that cancel
+    # exactly off the threshold: the dimension was wrong on 12/40 instances
+    # at delta = 3e-8 and on 21/40 at 1e-8.
+
+    @pytest.mark.parametrize("delta", [3e-8, 1e-8])
+    def test_dimension_is_the_planted_one(self, delta):
+        wrong = [i for i, (spec, dim) in enumerate(perturbed_instances(delta)) if solve(spec).dimension != dim]
+        assert wrong == []
+
+    def test_no_nan_where_the_raw_gamma_cell_is_zero(self):
+        # instance 12 at delta = 3e-9: the mask over the means kept a cell
+        # nonzero whose raw gamma_rr, the divisor of x_hat, is exactly 0
+        spec, dim = list(perturbed_instances(3e-9, 13))[12]
+        res = solve(spec)
+        assert np.all(np.isfinite(res.x_hat))
+        assert res.dimension == dim
+        assert res.relevant.zero_count == res.dimension
+
+    def test_gamma_stays_the_mean_based_one(self):
+        spec, _ = list(perturbed_instances(3e-9, 13))[12]
+        res = solve(spec)
+        star, k = res.star, spec.k
+        means = relevant_matrix(star.vectors[:k], star.vectors[k:2 * k], star.vectors[2 * k])
+        assert np.array_equal(res.relevant.gamma, means.gamma)
+        assert res.relevant.zero_count > means.zero_count
+
 
 class TestCheckConsistent:
     def test_tol_recon_reaches_validate_family(self, monkeypatch):

@@ -154,3 +154,16 @@ class TestCompare:
         with pytest.raises(OracleMismatchError):
             compare(solve(spec, Tolerances(res=1e-30)), vectorize(spec))
         compare(solve(spec, Tolerances(res=1e-30)), vectorize(spec), tol=1e-7)
+
+    def test_nan_residuals_are_mismatches(self):
+        # nan > tol is False: both residual checks must fail a NaN
+        spec, _ = random_equation_instance(np.random.default_rng(8), 4, 2, zero_diag_rows=1)
+        result = solve(spec)
+        assert result.consistent and result.dimension > 0
+        nan = np.full_like(result.x_hat, np.nan)
+        with pytest.raises(OracleMismatchError) as exc:
+            compare(replace(result, x_hat=nan), vectorize(spec))
+        assert exc.value.failures == ["candidate solution violates the system (residual nan)"]
+        with pytest.raises(OracleMismatchError) as exc:
+            compare(replace(result, basis=(nan, *result.basis[1:])), vectorize(spec))
+        assert exc.value.failures == ["basis matrix 0 leaves the nullspace (residual nan)"]

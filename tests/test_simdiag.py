@@ -15,9 +15,12 @@ from lme.errors import (
 from lme.equations import equation_spec, solve
 from lme.instances import ALPHABET, random_diagonalizer, random_family
 from lme.matcore import (
+    _FALLBACK_SEED,
     _MIX_SEED,
+    _RCOND_FLOOR,
     Permutation,
     _eigenbasis_of_mix,
+    cluster_means,
     cluster_values,
     direct_sum,
     fro,
@@ -760,3 +763,186 @@ class TestCollisionSetAgainstIndexPairs:
         assert coll == [-(2 - 1j)]
         assert beta == 1.0 + abs(2 - 1j)
         assert_same_set(coll, reference_collision_set(a, (2 - 1j) * np.eye(6))[0], 1e-8)
+
+
+# The per-member passes that validate_family, the joint eigensolve and
+# simultaneous_diagonalizer made before each member's norm was taken once:
+# a full commutes test per pair (three norms each), one QR per eigenvalue
+# group joined by hstack, and each member's cluster means taken twice (once
+# inside cluster_values to order the clusters, once more for the vectors).
+
+
+def reference_eigenbasis_of_mix(mats, seed, tol_recon, tol_cluster):
+    mu = np.random.default_rng(seed).standard_normal((len(mats), 2)) @ (1, 1j)
+    mix = sum(w / max(1.0, fro(m)) * m for w, m in zip(mu, mats))
+    w, v = np.linalg.eig(mix)
+    groups = cluster_values(w, tol_cluster * max(1.0, fro(mix)))
+    s = np.hstack([np.linalg.qr(v[:, g])[0] for g in groups])
+    try:
+        s_inv = np.linalg.inv(s)
+    except np.linalg.LinAlgError:
+        raise NotDiagonalizableError(0, "its eigenvector matrix is singular") from None
+    cond = float(np.linalg.norm(s, 1) * np.linalg.norm(s_inv, 1))
+    if not cond * _RCOND_FLOOR < 1.0:
+        raise NotDiagonalizableError(0, f"its eigenvector matrix has condition {cond:.3e}")
+    diagonals = []
+    for i, m in enumerate(mats):
+        d = s_inv @ m @ s
+        diagonals.append(np.diag(d).copy())
+        np.fill_diagonal(d, 0)
+        off_mass = fro(d)
+        if off_mass > tol_recon * max(1.0, fro(m)):
+            raise NotDiagonalizableError(i, f"off-diagonal mass {off_mass:.3e} in the eigenbasis")
+    return s, s_inv, tuple(diagonals), cond
+
+
+def reference_validate_family(members, tol=Tolerances(), names=None):
+    """(S, S^-1, diagonals, cond) of the joint eigenbasis, or the error."""
+    mats = [np.asarray(m, dtype=complex) for m in members]
+    label = list(names) if names else [f"member {i}" for i in range(len(mats))]
+    for i in range(len(mats)):
+        for j in range(i + 1, len(mats)):
+            a, b = mats[i], mats[j]
+            if not fro(a @ b - b @ a) <= tol.commute * max(1.0, fro(a) * fro(b)):
+                resid = fro(a @ b - b @ a) / max(1.0, fro(a) * fro(b))
+                raise NotCommutingError(i, j, resid, names and (label[i], label[j]))
+    gap = min(tol.cluster, tol.recon)
+    try:
+        return reference_eigenbasis_of_mix(mats, _MIX_SEED, tol.recon, gap)
+    except NotDiagonalizableError:
+        return reference_eigenbasis_of_mix(mats, _FALLBACK_SEED, tol.recon, gap)
+
+
+def reference_simultaneous_diagonalizer(members, basis, tol=Tolerances()):
+    """(S, vectors, levels, S^-1, diagonals) of the star sequence."""
+    s, s_inv, diagonals, _ = basis
+    n = s.shape[0]
+    ranks = np.empty((len(members), n), dtype=int)
+    vectors = np.empty((len(members), n), dtype=complex)
+    for j, (m, d) in enumerate(zip(members, diagonals)):
+        groups = cluster_values(d, tol.cluster * max(1.0, fro(m)))
+        for rank, (group, mean) in enumerate(zip(groups, cluster_means(d, groups))):
+            ranks[j, group] = rank
+            vectors[j, group] = mean
+    order = np.lexsort(ranks[::-1])
+    split = np.zeros(n - 1, dtype=bool)
+    levels = []
+    for row in ranks[:, order]:
+        split |= row[1:] != row[:-1]
+        bounds = [0, *(np.flatnonzero(split) + 1).tolist(), n]
+        levels.append(tuple(zip(bounds[:-1], bounds[1:])))
+    return (s[:, order], tuple(vectors[:, order]), tuple(levels), s_inv[order],
+            tuple(d[order] for d in diagonals))
+
+
+def raw_bytes(a):
+    a = np.asarray(a)
+    return a.dtype.str, a.shape, a.tobytes()
+
+
+def grouped_family(seed, sizes, members, spread, scale=1.0, jitter=0.0):
+    """``members`` matrices over one diagonalizer of condition at most
+    ``spread``, each constant on the index groups of the given sizes, with
+    values from the exact alphabet moved by up to ``jitter`` and then
+    multiplied by ``scale``."""
+    rng = np.random.default_rng(seed)
+    n = sum(sizes)
+    s = random_diagonalizer(rng, n, spread)
+    s_inv = np.linalg.inv(s)
+    owner = np.repeat(np.arange(len(sizes)), sizes)[rng.permutation(n)]
+    family = []
+    for _ in range(members):
+        values = ALPHABET[rng.integers(0, len(ALPHABET), len(sizes))] + jitter * rng.uniform(-1, 1, len(sizes))
+        family.append(s @ ((scale * values)[owner][:, None] * s_inv))
+    return family
+
+
+@st.composite
+def group_sizes(draw, max_n=12):
+    n = draw(st.integers(1, max_n))
+    sizes = []
+    while sum(sizes) < n:
+        sizes.append(draw(st.integers(1, min(4, n - sum(sizes)))))
+    return sizes
+
+
+class TestLeanPassAgainstReference:
+    def assert_same_as_reference(self, members):
+        try:
+            want = reference_validate_family(members)
+        except NotDiagonalizableError:
+            # both sides then raise from validate_family; its per-member
+            # diagnosis is not part of this pass
+            with pytest.raises((NotDiagonalizableError, RefinementFailureError)):
+                validate_family(members)
+            return
+        family = validate_family(members)
+        basis = family.eigenbasis
+        got = (basis.diagonalizer, basis.inverse, basis.diagonals, basis.condition_estimate)
+        assert raw_bytes(got[0]) == raw_bytes(want[0])
+        assert raw_bytes(got[1]) == raw_bytes(want[1])
+        assert [raw_bytes(d) for d in got[2]] == [raw_bytes(d) for d in want[2]]
+        assert raw_bytes(got[3]) == raw_bytes(want[3])
+        star = simultaneous_diagonalizer(family)
+        ref = reference_simultaneous_diagonalizer(members, want)
+        assert raw_bytes(star.diagonalizer) == raw_bytes(ref[0])
+        assert [raw_bytes(v) for v in star.vectors] == [raw_bytes(v) for v in ref[1]]
+        assert star.levels == ref[2]
+        assert raw_bytes(star.inverse) == raw_bytes(ref[3])
+        assert [raw_bytes(d) for d in star.diagonals] == [raw_bytes(d) for d in ref[4]]
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), sizes=group_sizes(), k=st.integers(1, 4),
+           spread=st.floats(1.0, 1e3), scale=st.sampled_from([1e-4, 1e-2, 1.0, 1e2]),
+           jitter=st.sampled_from([0.0, 1e-9, 1e-6, 1e-4]))
+    def test_byte_equal_on_grouped_families(self, seed, sizes, k, spread, scale, jitter):
+        # the scales and jitters put eigenvalue gaps on both sides of the
+        # cluster gap tol.cluster * max(1, ||M||_F)
+        self.assert_same_as_reference(grouped_family(seed, sizes, 2 * k + 1, spread, scale, jitter))
+
+    @pytest.mark.parametrize("seed, k, spread", [(0, 1, 2.0), (1, 2, 10.0), (2, 3, 1e3)])
+    def test_byte_equal_at_n64(self, seed, k, spread):
+        rng = np.random.default_rng([64, seed])
+        sizes = []
+        while sum(sizes) < 64:
+            sizes.append(min(int(rng.integers(1, 5)), 64 - sum(sizes)))
+        self.assert_same_as_reference(grouped_family(seed, sizes, 2 * k + 1, spread))
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+    @pytest.mark.parametrize("names", [None, ("A[0]", "A[1]", "B[0]")])
+    @pytest.mark.parametrize("order, first", [((0, 1, 2), (0, 2)), ((2, 0, 1), (0, 1))])
+    def test_first_failing_pair_and_text(self, scale, names, order, first):
+        # two pairs fail to commute: the diagonal members commute with each
+        # other and not with the permutation
+        members = [scale * np.diag([1.0, 2.0, 3.0]), scale * np.diag([4.0, 4.0, 5.0]),
+                   scale * np.roll(np.eye(3), 1, axis=0)]
+        members = [members[i] for i in order]
+        with pytest.raises(NotCommutingError) as want:
+            reference_validate_family(members, names=names)
+        with pytest.raises(NotCommutingError) as got:
+            validate_family(members, names=names)
+        assert (got.value.i, got.value.j) == (want.value.i, want.value.j) == first
+        assert str(got.value) == str(want.value)
+
+    def test_one_qr_per_group_size(self, monkeypatch):
+        # joint eigenspaces of sizes 1, 1, 2, 2 and 3: three distinct sizes
+        sizes = [1, 2, 1, 3, 2]
+        rng = np.random.default_rng(9)
+        s = random_diagonalizer(rng, sum(sizes))
+        s_inv = np.linalg.inv(s)
+        owner = np.repeat(np.arange(len(sizes)), sizes)
+        a = s @ (np.array([1, 2, 3, 4, 5], dtype=complex)[owner][:, None] * s_inv)
+        b = s @ (np.array([0, 1, 1j, -1, 2], dtype=complex)[owner][:, None] * s_inv)
+        c = s @ (np.array([1, 0, 2, 1, 0], dtype=complex)[owner][:, None] * s_inv)
+        spec = equation_spec([a], [b], c)
+        shapes = []
+        original = np.linalg.qr
+
+        def counting(x, *args, **kwargs):
+            shapes.append(np.shape(x))
+            return original(x, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "qr", counting)
+        solve(spec)
+        assert sorted(shape[-1] for shape in shapes) == [1, 2, 3]
+        assert sorted(shape[0] for shape in shapes) == [1, 2, 2]

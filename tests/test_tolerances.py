@@ -23,9 +23,9 @@ from lme.tolerances import (
 # (module, primitive) -> {threshold parameter: Tolerances field}
 SPIED = {
     (matcore, "cluster_values"): {"gap": "cluster"},
-    (simdiag, "cluster_values"): {"gap": "cluster"},
+    (simdiag, "_clusters"): {"gap": "cluster"},
     (simdiag, "_joint_eigenbasis"): {"tol_recon": "recon", "tol_cluster": "cluster"},
-    (simdiag, "commutes"): {"tol": "commute"},
+    (simdiag, "_commutes_within"): {"tol": "commute"},
     (equations, "is_normal"): {"tol": "commute"},
     (equations, "relevant_matrix"): {"tol_zero": "zero"},
     (geninv, "drazin"): {"tol_zero": "zero", "tol_rank": "rank"},
@@ -74,7 +74,7 @@ def test_every_field_reaches_its_decision(monkeypatch):
     assert [r[:3] for r in at_custom] == [r[:3] for r in at_default]
     # per solve, one gap groups the generic combination's eigenvalues inside
     # the joint eigensolve and one clusters each member's diagonal
-    gaps = [r for r in at_custom if r[0] == "cluster_values"]
+    gaps = [r for r in at_custom if r[0] in ("cluster_values", "_clusters")]
     assert len(gaps) == 2 * (1 + len(spec.members()))
     assert {r[2] for r in at_custom} == {"recon", "commute", "cluster", "zero", "rank"}
     assert {r[0] for r in at_custom} == {name for _, name in SPIED}
