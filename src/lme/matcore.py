@@ -285,7 +285,7 @@ def _joint_eigenbasis(mats, tol_recon: float, tol_cluster: float = TOL_CLUSTER, 
     ``norms`` are the members' Frobenius norms when the caller has them
     (they are taken here otherwise), and the weights and the ``tol_recon``
     thresholds reuse them.  S^{-1} M_j S stays one product per member: stacked
-    into one batched matmul it was slower at n=64 and grew the peak memory.
+    into one batched matmul it was slower at n=64.
     """
     try:
         return _eigenbasis_of_mix(mats, _MIX_SEED, tol_recon, tol_cluster, norms)
