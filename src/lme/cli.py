@@ -23,8 +23,9 @@ Exit codes, each set in ``main`` alone:
 
     0  success; the equation is consistent
     1  ``error: ...``: an unreadable or malformed matrix file (the message
-       names it), a non-square or size-mismatched matrix, a bad flag value
-       or an unwritable --out path
+       names it), a non-square or size-mismatched matrix, a matrix whose
+       norm or commutator overflows (NonFiniteError), a bad flag value or
+       an unwritable --out path
     2  ``hypothesis violated: <CauseType>: <message>``: the inputs break a
        hypothesis of the structured solver (without --force-oracle); verify
        appends the trial, as `` (trial 3)`` or `` (input files)``
@@ -52,6 +53,7 @@ from .errors import (
     DimensionMismatchError,
     HypothesisViolatedError,
     LmeError,
+    NonFiniteError,
     NonSquareError,
     OracleMismatchError,
 )
@@ -417,7 +419,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.run(args, _tolerances(args))
-    except (_UsageError, NonSquareError, DimensionMismatchError) as exc:
+    except (_UsageError, NonSquareError, DimensionMismatchError, NonFiniteError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     except LmeError as exc:

@@ -32,6 +32,7 @@ from .errors import (
     HypothesisViolatedError,
     InconsistentInputError,
     LmeError,
+    NonFiniteError,
     NotHermitianRhsError,
     NotNormalError,
 )
@@ -103,6 +104,8 @@ def equation_spec(a_list, b_list, rhs) -> EquationSpec:
     if not a:
         raise DimensionMismatchError("the equation needs at least one term")
     n = c.shape[0]
+    if n == 0:
+        raise DimensionMismatchError("C has size 0, expected at least 1")
     for i, m in enumerate((*a, *b)):
         if m.shape[0] != n:
             raise DimensionMismatchError(f"term matrix {i} has size {m.shape[0]}, expected {n}")
@@ -279,10 +282,13 @@ def solve(spec: EquationSpec, tol: Tolerances = DEFAULT) -> AffineSolutionSet:
     Raises HypothesisViolatedError when the parameter matrices do not form a
     commuting family of diagonalizable matrices; that case is outside this
     solver's scope and belongs to the brute-force oracle.  Its cause names
-    the members by their role in the spec: A[j], B[j] or C.
+    the members by their role in the spec: A[j], B[j] or C.  A member norm
+    or commutator that overflows raises NonFiniteError, not wrapped.
     """
     try:
         family = validate_family(spec.members(), tol, spec.member_names())
+    except NonFiniteError:
+        raise  # an overflow, not a broken hypothesis
     except LmeError as exc:
         raise HypothesisViolatedError(exc) from exc
     star = simultaneous_diagonalizer(family)

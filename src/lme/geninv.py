@@ -3,6 +3,11 @@
 The Drazin inverse is computed through a Schur-based core-nilpotent split:
 eigenvalues below the zero threshold are sorted to the trailing block, the
 coupling is removed with a Sylvester solve, and the core block is inverted.
+
+That split is the package's only use of scipy, so ``core_nilpotent`` imports
+``scipy.linalg`` when it first runs.  Importing lme, solving, the oracle and
+pair recovery never load scipy; the Drazin candidate of the consistency
+evidence (``x_hat``, ``check_consistent``) does.
 """
 
 from __future__ import annotations
@@ -10,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import IndexTooLargeError
 from .matcore import as_matrix, fro, require_square
@@ -103,6 +107,8 @@ def core_nilpotent(
     exactly in exact arithmetic) pass the scale of the uncancelled inputs so
     a noise-level matrix is split as all-nilpotent rather than inverted.
     """
+    import scipy.linalg  # here, not at the top: it would be most of `import lme`
+
     m = require_square(as_matrix(a))
     n = m.shape[0]
     base = max(1.0, fro(m)) if scale is None else max(1.0, scale)

@@ -17,6 +17,7 @@ eigenvalue multisets of shifted products.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,6 +27,7 @@ from .errors import (
     EmptyListError,
     IntersectionAmbiguousError,
     NoMatchingPermutationError,
+    NonFiniteError,
     NotADiagonalizerError,
     NotCommutingError,
     NotDiagonalizableError,
@@ -119,7 +121,10 @@ def validate_family(members, tol: Tolerances = DEFAULT, names=None) -> Commuting
     the first member that is not diagonalizable on its own is named, with
     the reason its own eigenbasis failed, else the member the joint one left
     off-diagonal mass on, and how much.  Error messages call member i
-    ``names[i]`` when ``names`` is given, else "member i".
+    ``names[i]`` when ``names`` is given, else "member i".  Members of size
+    0 raise DimensionMismatchError.  A member whose Frobenius norm overflows,
+    or a pair whose commutator residual does, raises NonFiniteError naming
+    it, before any gate decides on an infinite or NaN figure.
 
     Each member's Frobenius norm is taken once, here, and reused by the
     commutator tests, the weights of the joint eigensolve, its ``recon``
@@ -133,14 +138,23 @@ def validate_family(members, tol: Tolerances = DEFAULT, names=None) -> Commuting
     if not mats:
         raise EmptyListError("family must contain at least one matrix")
     n = mats[0].shape[0]
+    if n == 0:
+        raise DimensionMismatchError(f"{label[0]} has size 0, expected at least 1")
     for i, m in enumerate(mats):
         if m.shape[0] != n:
             raise DimensionMismatchError(f"{label[i]} has size {m.shape[0]}, expected {n}")
     norms = [fro(m) for m in mats]
+    for i, norm in enumerate(norms):
+        if not math.isfinite(norm):
+            raise NonFiniteError(f"{label[i]} has a Frobenius norm that overflows")
     for i in range(len(mats)):
         for j in range(i + 1, len(mats)):
             if not _commutes_within(mats[i], mats[j], tol.commute, norms[i], norms[j]):
                 resid = fro(mats[i] @ mats[j] - mats[j] @ mats[i])
+                if not math.isfinite(resid):
+                    raise NonFiniteError(
+                        f"the commutator of {label[i]} and {label[j]} overflows"
+                    )
                 denom = max(1.0, norms[i] * norms[j])
                 raise NotCommutingError(i, j, resid / denom, names and (label[i], label[j]))
     # Group the combination's eigenvalues no wider than recon accepts: QR over
@@ -353,10 +367,13 @@ def _induced_pair(family: CommutingFamily, star: StarSequence):
         raise IntersectionAmbiguousError("multiple zero eigenvalue blocks")
     free = np.ones(n, dtype=bool)
     bvec = np.empty(n, dtype=complex)
+    # the block-independent parts of (AB + beta*A)/lam - beta*I, formed once
+    ab_shift = amat @ bmat + beta * amat
+    eye_shift = beta * np.eye(n)
     for q, (lo, hi) in enumerate(blocks):
         if zero[q]:
             continue
-        shifted = (amat @ bmat + beta * amat) / lam[q] - beta * np.eye(n)
+        shifted = ab_shift / lam[q] - eye_shift
         cols, _ = _greedy_match(np.abs(np.linalg.eigvals(shifted)[:, None] - b_eigs), gap, free)
         matched = b_eigs[[p for p in cols if p >= 0]]
         if matched.size != hi - lo:

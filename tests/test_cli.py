@@ -19,7 +19,7 @@ from lme.cli import (
     main,
     write_matrix,
 )
-from lme.instances import random_equation_instance
+from lme.instances import random_diagonalizer, random_equation_instance
 from lme.tolerances import TOL_CLUSTER, TOL_RANK, TOL_RES, TOL_ZERO
 
 HOMOG_A = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 1]], dtype=complex)
@@ -632,6 +632,41 @@ class TestDiagonalizeCommand:
     def test_pair_needs_two(self, files):
         write, _ = files
         assert main(["diagonalize", write("m.json", np.eye(2)), "--pair"]) == EXIT_ERROR
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+class TestOverflowingInputs:
+    """A norm or commutator that overflows is an input error (exit 1), not a
+    violated hypothesis (exit 2)."""
+
+    def test_solve_with_overflowing_norms(self, files, capsys):
+        write, _ = files
+        code = main([
+            "solve",
+            "--a", write("a.json", np.diag([1, 2, 3]) * 1e200),
+            "--b", write("b.json", np.diag([1, 1, 2]) * 1e200),
+            "--c", write("c.json", np.eye(3)),
+        ])
+        assert code == EXIT_ERROR
+        assert capsys.readouterr().err == "error: A[0] has a Frobenius norm that overflows\n"
+
+    def test_solve_with_an_overflowing_commutator(self, files, capsys):
+        write, _ = files
+        s = random_diagonalizer(np.random.default_rng(0), 4)
+        s_inv = np.linalg.inv(s)
+        code = main([
+            "solve",
+            "--a", write("a.json", s @ np.diag([1, 2, 3, 4]) @ s_inv * 1e100),
+            "--b", write("b.json", s @ np.diag([2, 1, 1, 3]) @ s_inv * 1e100),
+            "--c", write("c.json", np.eye(4)),
+        ])
+        assert code == EXIT_ERROR
+        assert capsys.readouterr().err == "error: the commutator of A[0] and B[0] overflows\n"
+
+    def test_diagonalize_with_an_overflowing_norm(self, files, capsys):
+        write, _ = files
+        assert main(["diagonalize", write("m.json", np.diag([1, 2, 3]) * 1e160)]) == EXIT_ERROR
+        assert capsys.readouterr().err == "error: member 0 has a Frobenius norm that overflows\n"
 
 
 class TestReportEncoding:

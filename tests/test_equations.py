@@ -30,6 +30,7 @@ from lme.errors import (
     DimensionMismatchError,
     HypothesisViolatedError,
     InconsistentInputError,
+    NonFiniteError,
     NotCommutingError,
     NotDiagonalizableError,
     NotHermitianRhsError,
@@ -267,6 +268,37 @@ class TestSolve:
         monkeypatch.setattr(np.linalg, "svd", counting("svd", np.linalg.svd))
         lme.simultaneous_diagonalizer(lme.validate_family(spec.members()))
         assert calls["svd"] == 0
+
+
+class TestDegenerateAndOverflowingEquations:
+    def test_size_zero_rejected(self):
+        z = np.zeros((0, 0))
+        with pytest.raises(DimensionMismatchError, match="^C has size 0, expected at least 1$"):
+            equation_spec([z], [z], z)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_overflowing_norm_is_not_a_broken_hypothesis(self):
+        # diag(1, 2, 3) and diag(1, 1, 2) commute exactly; at 1e200 their
+        # norms overflow, which read as "do not commute (relative residual nan)"
+        spec = equation_spec([np.diag([1, 2, 3]) * 1e200], [np.diag([1, 1, 2]) * 1e200], I3)
+        with pytest.raises(NonFiniteError, match="^A\\[0\\] has a Frobenius norm that overflows$"):
+            solve(spec)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_overflowing_commutator_is_not_a_broken_hypothesis(self):
+        s = random_diagonalizer(np.random.default_rng(0), 4)
+        s_inv = np.linalg.inv(s)
+        a = s @ np.diag([1, 2, 3, 4]) @ s_inv * 1e100
+        b = s @ np.diag([2, 1, 1, 3]) @ s_inv * 1e100
+        with pytest.raises(NonFiniteError, match="^the commutator of A\\[0\\] and B\\[0\\] overflows$"):
+            solve(equation_spec([a], [b], np.eye(4)))
+
+    def test_large_finite_norms_still_solve(self):
+        # at 1e150 the squared Frobenius norm, about 1.4e301, stays finite
+        spec = equation_spec([np.diag([1, 2, 3]) * 1e150], [np.diag([1, 1, 2]) * 1e-150], I3)
+        res = solve(spec)
+        assert res.consistent and res.dimension == 0
+        np.testing.assert_allclose(res.x_hat, np.diag([1, 0.5, 1 / 6]), rtol=1e-12)
 
 
 class TestFactoredSolutionSet:

@@ -7,6 +7,7 @@ from lme.errors import (
     DimensionMismatchError,
     IntersectionAmbiguousError,
     NoMatchingPermutationError,
+    NonFiniteError,
     NotADiagonalizerError,
     NotCommutingError,
     NotDiagonalizableError,
@@ -421,6 +422,32 @@ class TestInducedPair:
         assert np.array_equal(avec, want[0]) and np.array_equal(bvec, want[1])
         assert (coll, beta) == want[2:]
 
+    def test_shifted_matrix_is_the_per_block_expression(self, monkeypatch):
+        # AB + beta*A and beta*I are formed once, before the loop over A's
+        # blocks; each block's matrix must still be the one expression
+        # (AB + beta*A)/lam - beta*I, bit for bit
+        s = random_diagonalizer(np.random.default_rng(47), 6)
+        s_inv = np.linalg.inv(s)
+        a = s @ np.diag([1, 1, 2j, 0, -1, -1]) @ s_inv
+        b = s @ np.diag([1, 2, 2, 3, 1j, 3]) @ s_inv
+        seen = []
+        original = np.linalg.eigvals
+
+        def recording(m):
+            seen.append(m)
+            return original(m)
+
+        monkeypatch.setattr(np.linalg, "eigvals", recording)
+        family = validate_family([a, b])
+        star = simultaneous_diagonalizer(family)
+        avec, _, _, beta = _induced_pair(family, star)
+        amat, bmat = family.members
+        lams = [avec[lo] for lo, _ in star.levels[0] if abs(avec[lo]) > 1e-8]
+        assert len(lams) == 3 and len(seen) == 1 + len(lams)  # eig(B), then one per block
+        for lam, shifted in zip(lams, seen[1:]):
+            want = (amat @ bmat + beta * amat) / lam - beta * np.eye(6)
+            assert raw_bytes(shifted) == raw_bytes(want)
+
     def test_multiple_zero_blocks_rejected(self):
         # at a zero threshold of 1 both blocks 0 and 0.5 count as zero
         s = random_diagonalizer(np.random.default_rng(46), 3)
@@ -443,6 +470,43 @@ class TestInducedPair:
         monkeypatch.setattr(np.linalg, "eig", counting)
         induced_pair_without_diagonalizer(a, b)
         assert len(calls) == 1
+
+
+class TestDegenerateAndOverflowingFamilies:
+    @pytest.mark.parametrize("call", [
+        lambda z: validate_family([z]),
+        star_vector_of,
+        commutant,
+        lambda z: induced_pair_without_diagonalizer(z, z),
+    ])
+    def test_size_zero_rejected(self, call):
+        with pytest.raises(DimensionMismatchError, match="has size 0, expected at least 1"):
+            call(np.zeros((0, 0)))
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_overflowing_norm_named(self):
+        # the norm of diag(1, 2, 3) * 1e160 is inf, which made every cluster
+        # gap inf and merged the three values into one mean, 2e160
+        with pytest.raises(NonFiniteError, match="^member 0 has a Frobenius norm that overflows$"):
+            star_vector_of(np.diag([1, 2, 3]) * 1e160)
+        with pytest.raises(NonFiniteError, match="^B has a Frobenius norm that overflows$"):
+            induced_pair_without_diagonalizer(np.eye(3), np.diag([1, 2, 3]) * 1e160)
+
+    def test_large_finite_norm_still_diagonalizes(self):
+        vec = star_vector_of(np.diag([3, 1, 2]) * 1e150)
+        assert np.array_equal(vec, np.array([1, 2, 3]) * 1e150)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_overflowing_commutator_names_the_pair(self):
+        # exactly commuting, but the rounding error of AB - BA at entry scale
+        # 1e100 squares past the largest double in the Frobenius norm
+        s = random_diagonalizer(np.random.default_rng(0), 4)
+        s_inv = np.linalg.inv(s)
+        a = s @ np.diag([1, 2, 3, 4]) @ s_inv * 1e100
+        b = s @ np.diag([2, 1, 1, 3]) @ s_inv * 1e100
+        assert np.isfinite(fro(a)) and np.isfinite(fro(b))
+        with pytest.raises(NonFiniteError, match="^the commutator of A and B overflows$"):
+            validate_family([a, b], names=("A", "B"))
 
 
 class TestDiagonalizerClosure:
