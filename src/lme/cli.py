@@ -317,9 +317,6 @@ def _oracle_report(spec, tol, echo, reason: str) -> dict:
 def _cmd_equation(args, tol: Tolerances) -> int:
     command = args.command
     spec, a_mat, b_mat = _load_spec(args)
-    extras = {}
-    if command in _NAMED_FORMS:
-        extras["formula_count"] = equations.named_form_pair_count(command, a_mat, b_mat, tol)
     try:
         if command in ("clyap", "dlyap"):
             equations.lyapunov_gate(a_mat, spec.rhs, tol)
@@ -332,7 +329,10 @@ def _cmd_equation(args, tol: Tolerances) -> int:
     else:
         evidence = equations.consistency_evidence(spec, result)
         report = _structured_report(spec, result, evidence, _echo(tol, args))
-    _emit({**report, **extras}, args.out)
+    # after the gate and the solve, which report an overflowing input first
+    if command in _NAMED_FORMS:
+        report["formula_count"] = equations.named_form_pair_count(command, a_mat, b_mat, tol)
+    _emit(report, args.out)
     return EXIT_OK if report["consistent"] else EXIT_INCONSISTENT
 
 

@@ -21,6 +21,7 @@ The Schur-based Drazin candidate ``x_hat`` is the independent view that
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 
@@ -70,13 +71,40 @@ __all__ = [
 ]
 
 
+def _read_only(m: np.ndarray) -> np.ndarray:
+    """A read-only copy of ``m`` in the same memory layout."""
+    m = m.copy(order="K")
+    m.flags.writeable = False
+    return m
+
+
 @dataclass(frozen=True)
 class EquationSpec:
-    """The data (A_1..A_k, B_1..B_k, C) of one linear matrix equation."""
+    """The data (A_1..A_k, B_1..B_k, C) of one linear matrix equation.
+
+    A spec cannot change: it keeps a read-only copy of every array it is
+    given, whether through construction, ``equation_spec`` or
+    ``dataclasses.replace``, so no one else holds what the spec holds.  A
+    read-only input is copied too, since its owner can make it writeable
+    again.  That is what lets ``solve`` memoize its result on the spec, once
+    per ``Tolerances`` value, in ``_solved``.
+    """
 
     a_list: tuple[np.ndarray, ...]
     b_list: tuple[np.ndarray, ...]
     rhs: np.ndarray
+    _solved: dict[Tolerances, AffineSolutionSet] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self):
+        object.__setattr__(self, "a_list", tuple(map(_read_only, self.a_list)))
+        object.__setattr__(self, "b_list", tuple(map(_read_only, self.b_list)))
+        object.__setattr__(self, "rhs", _read_only(self.rhs))
+
+    def __reduce__(self):
+        # unpickled arrays are writeable: build the spec again, without the memo
+        return EquationSpec, (self.a_list, self.b_list, self.rhs)
 
     @property
     def n(self) -> int:
@@ -95,7 +123,14 @@ class EquationSpec:
 
 
 def equation_spec(a_list, b_list, rhs) -> EquationSpec:
-    """Validate and freeze the equation data."""
+    """Validate and freeze the equation data.
+
+    The spec holds read-only copies of the inputs (``as_matrix`` hands back
+    a complex array as it is, so the copy is what keeps the caller's array
+    out): writing into ``a_list``, ``b_list`` or ``rhs`` afterwards changes
+    neither the spec nor what ``solve`` returns for it, which is memoized on
+    the spec.
+    """
     a = tuple(require_square(as_matrix(m, f"A[{i}]"), f"A[{i}]") for i, m in enumerate(a_list))
     b = tuple(require_square(as_matrix(m, f"B[{i}]"), f"B[{i}]") for i, m in enumerate(b_list))
     c = require_square(as_matrix(rhs, "C"), "C")
@@ -189,15 +224,22 @@ class FactoredBasis(Sequence):
     and the cell indices.  Member i is
     np.outer(S[:, rows[i]], S^{-1}[cols[i], :]), formed when it is indexed;
     ``tuple(basis)`` gives all of them densely.  Slicing gives another
-    ``FactoredBasis``."""
+    ``FactoredBasis``.  Its attributes cannot be rebound, since the result
+    of ``solve`` that holds it is shared by every later call."""
 
     __slots__ = ("diagonalizer", "inverse", "rows", "cols")
 
     def __init__(self, diagonalizer: np.ndarray, inverse: np.ndarray, rows, cols):
-        self.diagonalizer = diagonalizer
-        self.inverse = inverse
-        self.rows = np.asarray(rows, dtype=np.intp)
-        self.cols = np.asarray(cols, dtype=np.intp)
+        object.__setattr__(self, "diagonalizer", diagonalizer)
+        object.__setattr__(self, "inverse", inverse)
+        object.__setattr__(self, "rows", np.asarray(rows, dtype=np.intp))
+        object.__setattr__(self, "cols", np.asarray(cols, dtype=np.intp))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to FactoredBasis.{name}")
+
+    def __reduce__(self):
+        return FactoredBasis, (self.diagonalizer, self.inverse, self.rows, self.cols)
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -275,9 +317,24 @@ def _c_zero_mask(cvec: np.ndarray, tol_zero: float) -> np.ndarray:
     return np.abs(cvec) <= tol_zero * scale
 
 
+def _freeze(*arrays: np.ndarray) -> None:
+    """Set each array read-only, and every array it is a view of."""
+    for a in arrays:
+        while isinstance(a, np.ndarray):
+            a.flags.writeable = False
+            a = a.base
+
+
 def solve(spec: EquationSpec, tol: Tolerances = DEFAULT) -> AffineSolutionSet:
     """Decide consistency and parametrize the affine solution set; every
     threshold is read from ``tol``, which the result keeps.
+
+    The result is memoized on the spec, which cannot change: a second call
+    with an equal ``tol`` returns the same object without computing again,
+    and another ``tol`` or another spec (``dataclasses.replace`` makes a new
+    one) computes afresh.  So every array of the result is read-only, and
+    writing into ``result.x_hat`` raises instead of reaching a later
+    ``check_consistent``.  Errors are not memoized.
 
     Raises HypothesisViolatedError when the parameter matrices do not form a
     commuting family of diagonalizable matrices; that case is outside this
@@ -285,6 +342,8 @@ def solve(spec: EquationSpec, tol: Tolerances = DEFAULT) -> AffineSolutionSet:
     the members by their role in the spec: A[j], B[j] or C.  A member norm
     or commutator that overflows raises NonFiniteError, not wrapped.
     """
+    if tol in spec._solved:
+        return spec._solved[tol]
     try:
         family = validate_family(spec.members(), tol, spec.member_names())
     except NonFiniteError:
@@ -320,7 +379,9 @@ def solve(spec: EquationSpec, tol: Tolerances = DEFAULT) -> AffineSolutionSet:
         off = rel.zero_mask.copy()
         np.fill_diagonal(off, False)
         certificate = not bool(off.any())
-    return AffineSolutionSet(
+    # rel's vectors are star.vectors themselves; S and S^{-1} are star's and basis's
+    _freeze(x, s, s_inv, basis.rows, basis.cols, rel.gamma, rel.zero_mask, *star.vectors, *star.diagonals)
+    result = spec._solved[tol] = AffineSolutionSet(
         consistent=consistent,
         witness_r=witness,
         x_hat=x,
@@ -332,6 +393,7 @@ def solve(spec: EquationSpec, tol: Tolerances = DEFAULT) -> AffineSolutionSet:
         star=star,
         tolerances=tol,
     )
+    return result
 
 
 @dataclass(frozen=True)
@@ -430,7 +492,11 @@ def consistency_evidence(spec: EquationSpec, result: AffineSolutionSet) -> Consi
 
 
 def check_consistent(spec: EquationSpec, tol: Tolerances = DEFAULT) -> tuple[bool, ConsistencyEvidence]:
-    """Consistency verdict plus its ``consistency_evidence``, both at ``tol``."""
+    """Consistency verdict plus its ``consistency_evidence``, both at ``tol``.
+
+    The verdict is that of ``solve(spec, tol)``, which is memoized on the
+    spec: after a ``solve`` at the same ``tol`` no eigensolve runs again, and
+    only the independent views of the evidence are computed."""
     evidence = consistency_evidence(spec, solve(spec, tol))
     return evidence.consistent, evidence
 
@@ -472,15 +538,24 @@ def solve_stein(a, b, c, tol: Tolerances = DEFAULT) -> AffineSolutionSet:
 
 def lyapunov_gate(a, c, tol: Tolerances = DEFAULT):
     """Raise unless A is normal and C Hermitian (the Lyapunov preconditions);
-    return both as validated square matrices."""
+    return both as validated square matrices.  When the Frobenius norm of A
+    or its normality residual ||A A* - A* A||_F overflows, this raises
+    NonFiniteError naming A before normality is decided."""
     a = require_square(as_matrix(a, "A"), "A")
     c = require_square(as_matrix(c, "C"), "C")
     if a.shape != c.shape:
         raise DimensionMismatchError(f"shapes differ: {a.shape} vs {c.shape}")
-    if not is_normal(a, tol.commute):
-        raise NotNormalError("A must be a normal matrix")
-    if fro(c - c.conj().T) > tol.commute * max(1.0, fro(c)):
-        raise NotHermitianRhsError("C must be Hermitian")
+    # an overflow is an input error, not a matrix that fails to be normal
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not math.isfinite(fro(a)):
+            raise NonFiniteError("A has a Frobenius norm that overflows")
+        if not is_normal(a, tol.commute):
+            h = a.conj().T
+            if not math.isfinite(fro(a @ h - h @ a)):
+                raise NonFiniteError("the normality residual of A overflows")
+            raise NotNormalError("A must be a normal matrix")
+        if fro(c - c.conj().T) > tol.commute * max(1.0, fro(c)):
+            raise NotHermitianRhsError("C must be Hermitian")
     return a, c
 
 

@@ -143,20 +143,22 @@ def validate_family(members, tol: Tolerances = DEFAULT, names=None) -> Commuting
     for i, m in enumerate(mats):
         if m.shape[0] != n:
             raise DimensionMismatchError(f"{label[i]} has size {m.shape[0]}, expected {n}")
-    norms = [fro(m) for m in mats]
-    for i, norm in enumerate(norms):
-        if not math.isfinite(norm):
-            raise NonFiniteError(f"{label[i]} has a Frobenius norm that overflows")
-    for i in range(len(mats)):
-        for j in range(i + 1, len(mats)):
-            if not _commutes_within(mats[i], mats[j], tol.commute, norms[i], norms[j]):
-                resid = fro(mats[i] @ mats[j] - mats[j] @ mats[i])
-                if not math.isfinite(resid):
-                    raise NonFiniteError(
-                        f"the commutator of {label[i]} and {label[j]} overflows"
-                    )
-                denom = max(1.0, norms[i] * norms[j])
-                raise NotCommutingError(i, j, resid / denom, names and (label[i], label[j]))
+    # an overflow here is reported by the NonFiniteError below, not by numpy
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = [fro(m) for m in mats]
+        for i, norm in enumerate(norms):
+            if not math.isfinite(norm):
+                raise NonFiniteError(f"{label[i]} has a Frobenius norm that overflows")
+        for i in range(len(mats)):
+            for j in range(i + 1, len(mats)):
+                if not _commutes_within(mats[i], mats[j], tol.commute, norms[i], norms[j]):
+                    resid = fro(mats[i] @ mats[j] - mats[j] @ mats[i])
+                    if not math.isfinite(resid):
+                        raise NonFiniteError(
+                            f"the commutator of {label[i]} and {label[j]} overflows"
+                        )
+                    denom = max(1.0, norms[i] * norms[j])
+                    raise NotCommutingError(i, j, resid / denom, names and (label[i], label[j]))
     # Group the combination's eigenvalues no wider than recon accepts: QR over
     # two values delta apart leaves off-diagonal mass ~ delta cot(theta).
     # simultaneous_diagonalizer merges near-equal values at tol.cluster.

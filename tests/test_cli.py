@@ -634,7 +634,7 @@ class TestDiagonalizeCommand:
         assert main(["diagonalize", write("m.json", np.eye(2)), "--pair"]) == EXIT_ERROR
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.filterwarnings("error:overflow encountered")
 class TestOverflowingInputs:
     """A norm or commutator that overflows is an input error (exit 1), not a
     violated hypothesis (exit 2)."""
@@ -662,6 +662,18 @@ class TestOverflowingInputs:
         ])
         assert code == EXIT_ERROR
         assert capsys.readouterr().err == "error: the commutator of A[0] and B[0] overflows\n"
+
+    @pytest.mark.parametrize("command", ["clyap", "dlyap"])
+    def test_lyapunov_with_an_overflowing_norm(self, files, capsys, command):
+        # A is normal; at 1e160 A A* overflows and the normality test read nan
+        write, _ = files
+        code = main([
+            command,
+            "--a", write("a.json", np.diag([1, 2, 3]) * 1e160),
+            "--c", write("c.json", np.eye(3)),
+        ])
+        assert code == EXIT_ERROR
+        assert capsys.readouterr().err == "error: A has a Frobenius norm that overflows\n"
 
     def test_diagonalize_with_an_overflowing_norm(self, files, capsys):
         write, _ = files

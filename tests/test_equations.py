@@ -1,6 +1,7 @@
+import pickle
 import re
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 import pytest
@@ -276,7 +277,7 @@ class TestDegenerateAndOverflowingEquations:
         with pytest.raises(DimensionMismatchError, match="^C has size 0, expected at least 1$"):
             equation_spec([z], [z], z)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.filterwarnings("error:overflow encountered")
     def test_overflowing_norm_is_not_a_broken_hypothesis(self):
         # diag(1, 2, 3) and diag(1, 1, 2) commute exactly; at 1e200 their
         # norms overflow, which read as "do not commute (relative residual nan)"
@@ -284,7 +285,7 @@ class TestDegenerateAndOverflowingEquations:
         with pytest.raises(NonFiniteError, match="^A\\[0\\] has a Frobenius norm that overflows$"):
             solve(spec)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.filterwarnings("error:overflow encountered")
     def test_overflowing_commutator_is_not_a_broken_hypothesis(self):
         s = random_diagonalizer(np.random.default_rng(0), 4)
         s_inv = np.linalg.inv(s)
@@ -292,6 +293,18 @@ class TestDegenerateAndOverflowingEquations:
         b = s @ np.diag([2, 1, 1, 3]) @ s_inv * 1e100
         with pytest.raises(NonFiniteError, match="^the commutator of A\\[0\\] and B\\[0\\] overflows$"):
             solve(equation_spec([a], [b], np.eye(4)))
+
+    @pytest.mark.filterwarnings("error:overflow encountered")
+    @pytest.mark.parametrize("solver", [solve_continuous_lyapunov, solve_discrete_lyapunov])
+    def test_overflowing_lyapunov_gate_is_not_a_broken_hypothesis(self, solver):
+        # A is normal, but A A* overflows and its normality residual read nan
+        with pytest.raises(NonFiniteError, match="^A has a Frobenius norm that overflows$"):
+            solver(np.diag([1, 2, 3]) * 1e160, I3)
+        # a finite norm whose residual ||A A* - A* A||_F overflows
+        with pytest.raises(NonFiniteError, match="^the normality residual of A overflows$"):
+            solver(JORDAN * 1e100, I2)
+        # a normal A at that scale passes the gate
+        assert solver(np.diag([1, 2]) * 1e100, I2).consistent
 
     def test_large_finite_norms_still_solve(self):
         # at 1e150 the squared Frobenius norm, about 1.4e301, stays finite
@@ -486,6 +499,147 @@ class TestCheckConsistent:
             assert not any(
                 (ev.diagonal_rule, ev.x_hat_solves_equation, ev.standard_consistent, ev.x_hat_solves_standard)
             )
+
+
+def reachable_arrays(obj):
+    """Every array reachable from a solve result through dataclass fields,
+    tuples and the slots of a ``FactoredBasis``."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, tuple):
+        for item in obj:
+            yield from reachable_arrays(item)
+    elif isinstance(obj, FactoredBasis):
+        for name in FactoredBasis.__slots__:
+            yield from reachable_arrays(getattr(obj, name))
+    elif is_dataclass(obj):
+        for f in fields(obj):
+            yield from reachable_arrays(getattr(obj, f.name))
+
+
+class TestMemo:
+    """A spec cannot change, so ``solve`` is memoized on it per Tolerances."""
+
+    def test_writes_into_the_inputs_do_not_reach_the_spec(self):
+        spec0, _ = random_equation_instance(np.random.default_rng(80), 5, 2, zero_diag_rows=1)
+        # complex arrays, which as_matrix alone would hand back as they are,
+        # and a view into a larger array
+        a_list = [np.array(a) for a in spec0.a_list]
+        b_list = [np.array(b) for b in spec0.b_list]
+        padded = np.zeros((6, 6), dtype=complex)
+        padded[:5, :5] = spec0.rhs
+        spec = equation_spec(a_list, b_list, padded[:5, :5])
+        for m in (*a_list, *b_list, padded):
+            m[...] = 7.0
+        got, want = solve(spec), solve(equation_spec(spec0.a_list, spec0.b_list, spec0.rhs))
+        assert np.array_equal(got.x_hat, want.x_hat)
+        assert (got.consistent, got.dimension) == (want.consistent, want.dimension)
+        for kept, original in zip(spec.members(), spec0.members()):
+            assert np.array_equal(kept, original)
+
+    def test_spec_and_result_arrays_are_read_only(self):
+        spec, _ = random_equation_instance(np.random.default_rng(81), 5, 2, zero_diag_rows=1)
+        res = solve(spec)
+        arrays = list(reachable_arrays(res))
+        assert len(arrays) > 10
+        for m in (*spec.members(), *arrays):
+            assert not m.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            res.x_hat[0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            spec.rhs[0, 0] = 1.0
+        with pytest.raises(AttributeError, match="^cannot assign to FactoredBasis.rows$"):
+            res.basis.rows = res.basis.rows[:1]
+        # the basis members are formed on demand, as the caller's own arrays
+        assert res.basis[0].flags.writeable
+        ok, evidence = check_consistent(spec)
+        assert ok and not evidence.diagnostics
+
+    def test_construction_and_replace_copy_every_array(self):
+        spec = homogeneous_spec()
+        rhs = np.ones((3, 3), dtype=complex)
+        for other in (replace(spec, rhs=rhs), lme.EquationSpec(spec.a_list, spec.b_list, rhs)):
+            for kept, given in zip(other.members(), [*spec.a_list, *spec.b_list, rhs]):
+                assert not np.shares_memory(kept, given) and not kept.flags.writeable
+        view = lme.EquationSpec(spec.a_list, spec.b_list, spec.rhs.T)
+        assert view.rhs.base is None and view.rhs.flags.f_contiguous
+
+    def test_a_read_only_input_made_writeable_again_does_not_reach_the_spec(self):
+        a = np.diag([1.0, 2.0, 3.0]).astype(complex)
+        a.flags.writeable = False
+        spec = equation_spec([a], [I3], I3)
+        res = solve(spec)
+        a.flags.writeable = True
+        a[0, 0] = 0.0  # singular now: a fresh spec of it is inconsistent
+        assert spec.a_list[0][0, 0] == 1.0
+        assert solve(spec) is res and res.consistent
+        assert not solve(equation_spec([a], [I3], I3)).consistent
+
+    def test_spec_and_result_survive_pickling(self):
+        spec = homogeneous_spec()
+        res = solve(spec)
+        spec2, res2 = pickle.loads(pickle.dumps((spec, res)))
+        assert not spec2._solved and not spec2.rhs.flags.writeable
+        assert all(np.array_equal(x, y) for x, y in zip(spec2.members(), spec.members()))
+        assert res2.dimension == 2 and all(np.array_equal(x, y) for x, y in zip(res2.basis, res.basis))
+        assert np.array_equal(solve(spec2).x_hat, res.x_hat)
+
+    def test_second_solve_returns_the_same_object(self):
+        spec = homogeneous_spec()
+        res = solve(spec)
+        assert solve(spec) is res
+        assert solve(spec, Tolerances()) is res  # an equal value is the same key
+        assert check_consistent(spec)[0] is res.consistent
+
+    def test_other_tolerances_or_spec_compute_afresh(self):
+        spec = homogeneous_spec()
+        res = solve(spec)
+        loose = solve(spec, Tolerances(zero=1e-6))
+        assert loose is not res and loose.tolerances == Tolerances(zero=1e-6)
+        assert solve(spec, Tolerances(zero=1e-6)) is loose
+        # a nonzero C on a zero diagonal cell makes the equation inconsistent
+        other = replace(spec, rhs=np.eye(3))
+        changed = solve(other)
+        assert changed is not res and not changed.consistent
+        assert solve(spec) is res and res.consistent
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 8),
+        k=st.integers(1, 3),
+        spread=st.floats(1.0, 1e3),
+        zero_rows=st.integers(0, 2),
+    )
+    def test_memoized_result_equals_a_fresh_one(self, seed, n, k, spread, zero_rows):
+        spec = conditioned_instance(np.random.default_rng(seed), n, k, spread, zero_rows, False)
+        first = solve(spec)
+        check_consistent(spec)
+        memo = solve(spec)
+        fresh = solve(equation_spec(spec.a_list, spec.b_list, spec.rhs))
+        assert memo is first and fresh is not memo
+        assert np.array_equal(memo.x_hat, fresh.x_hat)
+        assert memo.dimension == fresh.dimension
+        assert memo.relevant.cells == fresh.relevant.cells
+        assert np.array_equal(memo.diagonalizer, fresh.diagonalizer)
+
+    def test_check_consistent_after_solve_does_not_solve_again(self, monkeypatch):
+        calls = {"validate_family": 0, "eig": 0}
+
+        def counting(name, original):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return wrapper
+
+        spec, _ = random_equation_instance(np.random.default_rng(82), 6, 2, zero_diag_rows=1)
+        monkeypatch.setattr(
+            lme.equations, "validate_family", counting("validate_family", lme.equations.validate_family)
+        )
+        monkeypatch.setattr(np.linalg, "eig", counting("eig", np.linalg.eig))
+        solve(spec)
+        check_consistent(spec)
+        assert calls == {"validate_family": 1, "eig": 1}
 
 
 class TestSolveStandard:

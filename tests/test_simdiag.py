@@ -483,7 +483,7 @@ class TestDegenerateAndOverflowingFamilies:
         with pytest.raises(DimensionMismatchError, match="has size 0, expected at least 1"):
             call(np.zeros((0, 0)))
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.filterwarnings("error:overflow encountered")
     def test_overflowing_norm_named(self):
         # the norm of diag(1, 2, 3) * 1e160 is inf, which made every cluster
         # gap inf and merged the three values into one mean, 2e160
@@ -496,7 +496,7 @@ class TestDegenerateAndOverflowingFamilies:
         vec = star_vector_of(np.diag([3, 1, 2]) * 1e150)
         assert np.array_equal(vec, np.array([1, 2, 3]) * 1e150)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.filterwarnings("error:overflow encountered")
     def test_overflowing_commutator_names_the_pair(self):
         # exactly commuting, but the rounding error of AB - BA at entry scale
         # 1e100 squares past the largest double in the Frobenius norm
