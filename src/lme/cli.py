@@ -348,6 +348,8 @@ def _cmd_verify(args, tol: Tolerances) -> int:
         for flag in ("trials", "n", "k"):
             if getattr(args, flag) < 1:
                 raise _UsageError(f"--{flag} must be positive")
+        if args.seed < 0:
+            raise _UsageError("--seed must be non-negative")
         rng = np.random.default_rng(args.seed)
         trials = []
         for t in range(args.trials):

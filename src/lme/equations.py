@@ -82,10 +82,12 @@ def _read_only(m: np.ndarray) -> np.ndarray:
 class EquationSpec:
     """The data (A_1..A_k, B_1..B_k, C) of one linear matrix equation.
 
-    A spec cannot change: it keeps a read-only copy of every array it is
-    given, whether through construction, ``equation_spec`` or
-    ``dataclasses.replace``, so no one else holds what the spec holds.  A
-    read-only input is copied too, since its owner can make it writeable
+    Every spec is checked when it is built, whether through construction,
+    ``equation_spec`` or ``dataclasses.replace``: the matrices are finite,
+    square and of one size n >= 1, with as many right factors as left ones
+    and at least one term.  A spec cannot change: it keeps a read-only copy
+    of every array it is given, so no one else holds what the spec holds.
+    A read-only input is copied too, since its owner can make it writeable
     again.  That is what lets ``solve`` memoize its result on the spec, once
     per ``Tolerances`` value, in ``_solved``.
     """
@@ -98,9 +100,22 @@ class EquationSpec:
     )
 
     def __post_init__(self):
-        object.__setattr__(self, "a_list", tuple(map(_read_only, self.a_list)))
-        object.__setattr__(self, "b_list", tuple(map(_read_only, self.b_list)))
-        object.__setattr__(self, "rhs", _read_only(self.rhs))
+        a = [require_square(as_matrix(m, f"A[{i}]"), f"A[{i}]") for i, m in enumerate(self.a_list)]
+        b = [require_square(as_matrix(m, f"B[{i}]"), f"B[{i}]") for i, m in enumerate(self.b_list)]
+        c = require_square(as_matrix(self.rhs, "C"), "C")
+        if len(a) != len(b):
+            raise DimensionMismatchError(f"{len(a)} left factors but {len(b)} right factors")
+        if not a:
+            raise DimensionMismatchError("the equation needs at least one term")
+        n = c.shape[0]
+        if n == 0:
+            raise DimensionMismatchError("C has size 0, expected at least 1")
+        for i, m in enumerate((*a, *b)):
+            if m.shape[0] != n:
+                raise DimensionMismatchError(f"term matrix {i} has size {m.shape[0]}, expected {n}")
+        object.__setattr__(self, "a_list", tuple(map(_read_only, a)))
+        object.__setattr__(self, "b_list", tuple(map(_read_only, b)))
+        object.__setattr__(self, "rhs", _read_only(c))
 
     def __reduce__(self):
         # unpickled arrays are writeable: build the spec again, without the memo
@@ -123,28 +138,11 @@ class EquationSpec:
 
 
 def equation_spec(a_list, b_list, rhs) -> EquationSpec:
-    """Validate and freeze the equation data.
-
-    The spec holds read-only copies of the inputs (``as_matrix`` hands back
-    a complex array as it is, so the copy is what keeps the caller's array
-    out): writing into ``a_list``, ``b_list`` or ``rhs`` afterwards changes
-    neither the spec nor what ``solve`` returns for it, which is memoized on
-    the spec.
+    """Validate and freeze the equation data: ``EquationSpec(a_list,
+    b_list, rhs)``.  Writing into the inputs afterwards changes neither the
+    spec nor what ``solve`` returns for it, which is memoized on the spec.
     """
-    a = tuple(require_square(as_matrix(m, f"A[{i}]"), f"A[{i}]") for i, m in enumerate(a_list))
-    b = tuple(require_square(as_matrix(m, f"B[{i}]"), f"B[{i}]") for i, m in enumerate(b_list))
-    c = require_square(as_matrix(rhs, "C"), "C")
-    if len(a) != len(b):
-        raise DimensionMismatchError(f"{len(a)} left factors but {len(b)} right factors")
-    if not a:
-        raise DimensionMismatchError("the equation needs at least one term")
-    n = c.shape[0]
-    if n == 0:
-        raise DimensionMismatchError("C has size 0, expected at least 1")
-    for i, m in enumerate((*a, *b)):
-        if m.shape[0] != n:
-            raise DimensionMismatchError(f"term matrix {i} has size {m.shape[0]}, expected {n}")
-    return EquationSpec(a, b, c)
+    return EquationSpec(a_list, b_list, rhs)
 
 
 def equation_residual(spec: EquationSpec, x) -> float:
@@ -312,11 +310,6 @@ def x_hat(spec: EquationSpec, tol: Tolerances = DEFAULT) -> np.ndarray:
     return geninv.drazin(coefficient_sum(spec), tol.zero, tol.rank, scale=scale) @ spec.rhs
 
 
-def _c_zero_mask(cvec: np.ndarray, tol_zero: float) -> np.ndarray:
-    scale = float(np.max(np.abs(cvec))) if cvec.size else 0.0
-    return np.abs(cvec) <= tol_zero * scale
-
-
 def _freeze(*arrays: np.ndarray) -> None:
     """Set each array read-only, and every array it is a view of."""
     for a in arrays:
@@ -357,21 +350,19 @@ def solve(spec: EquationSpec, tol: Tolerances = DEFAULT) -> AffineSolutionSet:
     # a cell is zero when either spectrum says so: a cluster that merges
     # values delta apart moves its mean by delta/m, enough to lift a cell
     # that cancels exactly on the raw diagonals off the threshold
-    mask = rel.zero_mask | relevant_matrix(raw[:k], raw[k:2 * k], raw[2 * k], tol.zero).zero_mask
+    rel_raw = relevant_matrix(raw[:k], raw[k:2 * k], raw[2 * k], tol.zero)
+    mask = rel.zero_mask | rel_raw.zero_mask
     rel = replace(rel, zero_mask=mask, zero_count=int(mask.sum()))
-    c_zero = _c_zero_mask(vecs[2 * k], tol.zero)
-    diag_zero = np.diag(rel.zero_mask)
-    witness = None
-    for r in range(spec.n):
-        if diag_zero[r] and not c_zero[r]:
-            witness = r
-            break
+    c_abs = np.abs(vecs[2 * k])
+    diag_zero = np.diag(mask)
+    # the lowest row r with gamma[r, r] a zero cell and c_r not a zero entry
+    witnesses = np.flatnonzero(diag_zero & ~(c_abs <= tol.zero * c_abs.max()))
+    witness = int(witnesses[0]) if witnesses.size else None
     consistent = witness is None
     s, s_inv = star.diagonalizer, star.inverse
     # the raw diagonals, not the cluster means: their ratio is what makes
     # S diag(d) S^{-1} solve the equation on C itself
-    gamma_diag = sum(a * b for a, b in zip(raw[:k], raw[k:2 * k]))
-    d = np.divide(raw[2 * k], gamma_diag, out=np.zeros(spec.n, complex), where=~diag_zero)
+    d = np.divide(raw[2 * k], np.diag(rel_raw.gamma), out=np.zeros(spec.n, complex), where=~diag_zero)
     x = (s * d) @ s_inv
     basis = FactoredBasis(s, s_inv, *np.nonzero(rel.zero_mask))
     certificate = None

@@ -64,7 +64,12 @@ def matrix_rank(a, tol_rank: float = TOL_RANK, scale: float | None = None) -> in
 
 def index(a, tol_rank: float = TOL_RANK) -> int:
     """Least q >= 0 with rank(A^{q+1}) = rank(A^q)."""
-    m = require_square(as_matrix(a))
+    return _index_and_rank(require_square(as_matrix(a)), tol_rank)[0]
+
+
+def _index_and_rank(m: np.ndarray, tol_rank: float) -> tuple[int, int]:
+    """``index`` of a validated square matrix together with rank(A^index),
+    which its loop has computed on the way."""
     n = m.shape[0]
     prev = n  # rank of A^0
     power = np.eye(n, dtype=complex)
@@ -72,9 +77,9 @@ def index(a, tol_rank: float = TOL_RANK) -> int:
         power = power @ m
         r = matrix_rank(power, tol_rank)
         if r == prev:
-            return q
+            return q, prev
         prev = r
-    return n
+    return n, prev
 
 
 @dataclass(frozen=True)
@@ -95,11 +100,12 @@ def core_nilpotent(
 ) -> CoreNilpotentDecomposition:
     """Split A into an invertible core and a nilpotent remainder.
 
-    The core size is the rank of A^index(A); a modulus cutoff placed in the
-    spectral gap then sorts the Schur form so the core eigenvalues lead.  A
-    plain threshold at tol_zero * max(1, ||A||_F) cannot do this job because
-    a defective zero cluster of size k scatters its computed eigenvalues to
-    roughly eps^(1/k).  Nilpotent-block diagonal entries below the plain
+    The core size is the rank of A^index(A), read off the loop that finds
+    the index; a modulus cutoff placed in the spectral gap then sorts the
+    Schur form so the core eigenvalues lead.  A plain threshold at
+    tol_zero * max(1, ||A||_F) cannot do this job because a defective zero
+    cluster of size k scatters its computed eigenvalues to roughly
+    eps^(1/k).  Nilpotent-block diagonal entries below the plain
     threshold are zeroed, so exact inputs produce exactly nilpotent blocks.
 
     ``scale`` overrides the zero-threshold reference; callers whose matrix is
@@ -117,8 +123,7 @@ def core_nilpotent(
     if n and np.max(np.abs(eigs)) <= thresh:
         core_size = 0  # all nilpotent; no rank test needed
     else:
-        q = index(m, tol_rank)
-        core_size = matrix_rank(np.linalg.matrix_power(m, q), tol_rank) if q else n
+        core_size = _index_and_rank(m, tol_rank)[1]
     if core_size in (0, n):
         # all nilpotent or all core: the plain Schur form is already split
         t, z = scipy.linalg.schur(m, output="complex")
@@ -170,4 +175,4 @@ def group_inverse(a, tol_rank: float = TOL_RANK, tol_zero: float = TOL_ZERO) -> 
     q = index(a, tol_rank)
     if q > 1:
         raise IndexTooLargeError(f"matrix has index {q}, group inverse needs index <= 1")
-    return drazin(a, tol_zero)
+    return drazin(a, tol_zero, tol_rank)

@@ -142,13 +142,13 @@ class JointEigenbasis:
     and the diagonals of S^{-1} M_j S, one per member.  Columns of S that
     share an eigenvalue of the family's generic combination are orthonormal;
     ``condition_estimate`` is the 1-norm condition number of S.  ``_norms``
-    keeps the members' Frobenius norms that the basis was scaled by."""
+    are the members' Frobenius norms that the basis was scaled by."""
 
     diagonalizer: np.ndarray
     inverse: np.ndarray
     diagonals: tuple[np.ndarray, ...]
     condition_estimate: float
-    _norms: tuple[float, ...] = field(default=(), repr=False, compare=False)
+    _norms: tuple[float, ...] = field(repr=False, compare=False)
 
 
 def canonical_sort_indices(values: np.ndarray, gap: float) -> list[int]:
@@ -266,7 +266,7 @@ def cluster_means(values: np.ndarray, clusters) -> np.ndarray:
     return means
 
 
-def _joint_eigenbasis(mats, tol_recon: float, tol_cluster: float = TOL_CLUSTER, norms=None) -> JointEigenbasis:
+def _joint_eigenbasis(mats, tol_recon: float, tol_cluster: float, norms) -> JointEigenbasis:
     """One eigenbasis for a family of square matrices of one size, from one
     ``eig``.
 
@@ -282,10 +282,10 @@ def _joint_eigenbasis(mats, tol_recon: float, tol_cluster: float = TOL_CLUSTER, 
     above ``tol_recon`` (relative to max(1, ||M_i||_F)), or
     NotDiagonalizableError(0) when S is singular below the rcond floor.
 
-    ``norms`` are the members' Frobenius norms when the caller has them
-    (they are taken here otherwise), and the weights and the ``tol_recon``
-    thresholds reuse them.  S^{-1} M_j S stays one product per member: stacked
-    into one batched matmul it was slower at n=64.
+    ``norms`` are the members' Frobenius norms, taken once by the caller;
+    the weights and the ``tol_recon`` thresholds reuse them.  S^{-1} M_j S
+    stays one product per member: stacked into one batched matmul it was
+    slower at n=64.
     """
     try:
         return _eigenbasis_of_mix(mats, _MIX_SEED, tol_recon, tol_cluster, norms)
@@ -293,10 +293,8 @@ def _joint_eigenbasis(mats, tol_recon: float, tol_cluster: float = TOL_CLUSTER, 
         return _eigenbasis_of_mix(mats, _FALLBACK_SEED, tol_recon, tol_cluster, norms)
 
 
-def _eigenbasis_of_mix(mats, seed: int, tol_recon: float, tol_cluster: float, norms=None) -> JointEigenbasis:
+def _eigenbasis_of_mix(mats, seed: int, tol_recon: float, tol_cluster: float, norms) -> JointEigenbasis:
     """``_joint_eigenbasis`` with the weights of one seed."""
-    if norms is None:
-        norms = [fro(m) for m in mats]
     mu = np.random.default_rng(seed).standard_normal((len(mats), 2)) @ (1, 1j)
     mix = sum(w / max(1.0, norm) * m for w, norm, m in zip(mu, norms, mats))
     w, v = np.linalg.eig(mix)
@@ -338,7 +336,7 @@ def eig_decompose(m, tol: float = TOL_RECON, tol_cluster: float = TOL_CLUSTER) -
     """
     a = require_square(as_matrix(m))
     try:
-        basis = _joint_eigenbasis([a], tol, tol_cluster)
+        basis = _joint_eigenbasis([a], tol, tol_cluster, [fro(a)])
     except NotDiagonalizableError:
         w, v = np.linalg.eig(a)
         return EigenDecomposition(v, w, float(np.linalg.cond(v, 1)), False)

@@ -41,8 +41,6 @@ from .matcore import (
     _joint_eigenbasis,
     as_matrix,
     canonical_sort_indices,
-    cluster_means,
-    cluster_values,
     fro,
     require_square,
 )
@@ -195,10 +193,9 @@ def simultaneous_diagonalizer(family: CommutingFamily) -> StarSequence:
     """
     basis = family.eigenbasis
     n = family.size
-    norms = basis._norms or [fro(m) for m in family.members]
     ranks = np.empty((len(family), n), dtype=int)
     vectors = np.empty((len(family), n), dtype=complex)
-    for j, (norm, d) in enumerate(zip(norms, basis.diagonals)):
+    for j, (norm, d) in enumerate(zip(basis._norms, basis.diagonals)):
         groups, means = _clusters(d, family.tol.cluster * max(1.0, norm))
         rank = [0] * n
         for r, group in enumerate(groups):
@@ -343,11 +340,10 @@ def _induced_pair(family: CommutingFamily, star: StarSequence):
     n = family.size
     avec = star.vectors[0]
     blocks = star.levels[0]
-    norm_a, norm_b = family.eigenbasis._norms or (fro(amat), fro(bmat))
+    norm_a, norm_b = family.eigenbasis._norms
     gap = tol.cluster * max(1.0, norm_b)
     b_eigs = np.linalg.eigvals(bmat)
-    b_groups = cluster_values(b_eigs, gap)
-    b_reps = cluster_means(b_eigs, b_groups)
+    b_groups, b_reps = _clusters(b_eigs, gap)
 
     # the collision values of the docstring, in (r, s, p, q) order, then
     # the -b_p of the repeated clusters
@@ -359,7 +355,7 @@ def _induced_pair(family: CommutingFamily, star: StarSequence):
     if len(blocks) > 1:
         repeated = np.array([len(g) > 1 for g in b_groups])
         collisions = np.concatenate([collisions, -b_reps[repeated]])
-    collision_set = cluster_means(collisions, cluster_values(collisions, gap)).tolist()
+    collision_set = _clusters(collisions, gap)[1].tolist()
     beta = 1.0 + max((abs(z) for z in collision_set), default=0.0)
 
     # the scalar abs, as in canonical_sort_indices: np.abs can differ in the last bit

@@ -563,6 +563,10 @@ class TestVerifyCommand:
         assert main(argv) == EXIT_ERROR
         assert capsys.readouterr().err == f"error: --{flag} must be positive\n"
 
+    def test_negative_seed_rejected(self, capsys):
+        assert main(["verify", "--trials", "1", "--seed", "-1"]) == EXIT_ERROR
+        assert capsys.readouterr().err == "error: --seed must be non-negative\n"
+
 
 class TestDiagonalizeCommand:
     def test_single_diagonal(self, files):

@@ -32,6 +32,7 @@ from lme.errors import (
     HypothesisViolatedError,
     InconsistentInputError,
     NonFiniteError,
+    NonSquareError,
     NotCommutingError,
     NotDiagonalizableError,
     NotHermitianRhsError,
@@ -183,6 +184,14 @@ class TestSolve:
             assert res.witness_r is not None
             r = res.witness_r
             assert res.relevant.zero_mask[r, r]
+
+    def test_witness_is_the_lowest_proving_row(self):
+        # gamma[r, r] = 0 on rows 0-2 (the zero eigenvalue sorts first); c is
+        # 0 on row 0 and nonzero on rows 1 and 2, which both prove the
+        # equation inconsistent
+        res = solve(equation_spec([np.diag([0.0, 0, 0, 1])], [np.eye(4)], np.diag([0.0, 1, 2, 3])))
+        assert not res.consistent and res.witness_r == 1
+        assert np.diag(res.relevant.zero_mask).tolist() == [True, True, True, False]
 
     def test_hypothesis_gate(self):
         with pytest.raises(HypothesisViolatedError):
@@ -563,6 +572,22 @@ class TestMemo:
                 assert not np.shares_memory(kept, given) and not kept.flags.writeable
         view = lme.EquationSpec(spec.a_list, spec.b_list, spec.rhs.T)
         assert view.rhs.base is None and view.rhs.flags.f_contiguous
+
+    def test_construction_and_replace_check_the_shapes(self):
+        spec = homogeneous_spec()
+        a, b = spec.a_list[0], spec.b_list[0]
+        with pytest.raises(DimensionMismatchError, match="^2 left factors but 1 right factors$"):
+            lme.EquationSpec((a, a), (b,), spec.rhs)
+        with pytest.raises(DimensionMismatchError, match="^term matrix 0 has size 3, expected 2$"):
+            replace(spec, rhs=np.eye(2))
+        with pytest.raises(NonSquareError, match="^C must be square"):
+            replace(spec, rhs=np.ones((3, 2)))
+
+    def test_construction_accepts_a_list_rhs(self):
+        spec = homogeneous_spec()
+        other = lme.EquationSpec(spec.a_list, spec.b_list, spec.rhs.tolist())
+        assert other.rhs.dtype == complex and not other.rhs.flags.writeable
+        assert np.array_equal(solve(other).x_hat, solve(spec).x_hat)
 
     def test_a_read_only_input_made_writeable_again_does_not_reach_the_spec(self):
         a = np.diag([1.0, 2.0, 3.0]).astype(complex)

@@ -7,6 +7,7 @@ from lme.geninv import (
     drazin,
     group_inverse,
     index,
+    matrix_rank,
     moore_penrose,
     scalar_dagger,
 )
@@ -122,6 +123,21 @@ class TestCoreNilpotent:
             if k:
                 assert np.linalg.cond(dec.core) < 1e12
 
+    def test_core_size_is_the_rank_of_the_power_at_the_index(self):
+        rng = np.random.default_rng(22)
+        mats = [
+            NILP,
+            JORDAN,
+            JORDAN @ JORDAN - np.eye(2),
+            np.diag([3.0, 0.0]),
+            np.diag([2.0, 0.0, -0.5]),
+            rand_complex(rng, (4, 4)) + 4 * np.eye(4),
+            rank_deficient(rng, 5, 3),
+            *(random_index2(rng, int(rng.integers(3, 8))) for _ in range(20)),
+        ]
+        for m in mats:
+            assert core_nilpotent(m).core_size == matrix_rank(np.linalg.matrix_power(m, index(m)))
+
 
 class TestDrazin:
     def test_invertible_is_inverse(self):
@@ -197,6 +213,11 @@ class TestGroupInverse:
     def test_index_two_rejected(self):
         with pytest.raises(IndexTooLargeError):
             group_inverse(NILP)
+
+    def test_rank_tolerance_reaches_the_drazin_inverse(self):
+        # 1e-11 is a nonzero singular value at tol_rank=1e-12, so A is invertible
+        a = np.diag([1.0, 1e-11])
+        np.testing.assert_allclose(group_inverse(a, tol_rank=1e-12), np.diag([1.0, 1e11]), rtol=1e-12)
 
 
 def test_unitary_conjugation_keeps_normal_drazin():

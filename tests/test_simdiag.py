@@ -123,7 +123,7 @@ class TestValidateFamily:
         a = s @ np.diag([0, 0.1, 0.2]) @ s_inv
         b = s @ np.diag([0, -0.1 * mu[0] / mu[1], 0.05]) @ s_inv
         with pytest.raises(NotDiagonalizableError):
-            _eigenbasis_of_mix([a, b], _MIX_SEED, TOL_RECON, TOL_CLUSTER)
+            _eigenbasis_of_mix([a, b], _MIX_SEED, TOL_RECON, TOL_CLUSTER, [fro(a), fro(b)])
         validate_family([a, b])
         assert solve(equation_spec([a], [b], np.zeros((3, 3)))).dimension == 5
 
@@ -381,13 +381,13 @@ class TestInducedPair:
         a = s @ np.diag(np.array(a_vals, dtype=complex)) @ s_inv
         b = s @ np.diag(np.array(b_vals, dtype=complex)) @ s_inv
         sizes = []
-        original = lme.simdiag.cluster_values
+        original = lme.simdiag._clusters
 
         def recording(values, gap):
             sizes.append(len(values))
             return original(values, gap)
 
-        monkeypatch.setattr(lme.simdiag, "cluster_values", recording)
+        monkeypatch.setattr(lme.simdiag, "_clusters", recording)
         induced_pair_without_diagonalizer(a, b)
         d, q = len(set(a_vals)), len(set(b_vals))
         assert sizes[-1] == d * (d - 1) // 2 * q * (q - 1) + (repeated if d > 1 else 0)
