@@ -600,6 +600,8 @@ def uniqueness_report(result: AffineSolutionSet, spec: EquationSpec, candidate=N
     report_kwargs: dict = {}
     if candidate is not None:
         xc = require_square(as_matrix(candidate, "candidate"), "candidate")
+        if xc.shape[0] != spec.n:
+            raise DimensionMismatchError(f"candidate has size {xc.shape[0]}, expected {spec.n}")
         res = equation_residual(spec, xc)
         report_kwargs["candidate_is_solution"] = res <= tol.res * max(1.0, fro(spec.rhs))
         report_kwargs["candidate_equals_x_hat"] = (

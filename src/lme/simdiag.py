@@ -233,7 +233,10 @@ def induced_vectors(family: CommutingFamily, s) -> list[np.ndarray]:
         raise DimensionMismatchError("diagonalizer size does not match family")
     out = []
     for i, m in enumerate(family.members):
-        d = np.linalg.solve(smat, m @ smat)
+        try:
+            d = np.linalg.solve(smat, m @ smat)
+        except np.linalg.LinAlgError:  # a singular S diagonalizes no member
+            raise NotADiagonalizerError(i, math.inf) from None
         off_mass = fro(d - np.diag(np.diag(d)))
         if off_mass > family.tol.commute * max(1.0, fro(m)):
             raise NotADiagonalizerError(i, off_mass)
@@ -261,6 +264,8 @@ def match_induced_sequences(seq1, seq2, tol: float = TOL_CLUSTER) -> Permutation
     for v in a + b:
         if v.shape != (n,):
             raise DimensionMismatchError("all vectors must share one length")
+    if n == 0:
+        raise DimensionMismatchError("vectors have length 0, expected at least 1")
     scale = max(1.0, max(float(np.max(np.abs(v))) for v in a + b))
     dist = np.abs(np.array(b)[:, :, None] - np.array(a)[:, None, :]).max(axis=0)
     cols, best = _greedy_match(dist, tol * scale, np.ones(n, dtype=bool))

@@ -848,6 +848,11 @@ class TestUniqueness:
         assert rep.candidate_is_solution and rep.candidate_equals_x_hat
         assert all(rep.candidate_commutation)
 
+    def test_candidate_of_wrong_size(self):
+        spec = homogeneous_spec()
+        with pytest.raises(DimensionMismatchError, match="^candidate has size 4, expected 3$"):
+            uniqueness_report(solve(spec), spec, candidate=np.eye(4))
+
     def test_displayed_noncommuting_family_member(self):
         # a member of the two-parameter solution family of the non-commuting
         # Stein case does not commute with its coefficient matrix

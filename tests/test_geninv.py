@@ -1,8 +1,14 @@
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lme.errors import IndexTooLargeError, NonSquareError
+from lme.equations import coefficient_sum
+from lme.errors import IndexTooLargeError, NonFiniteError, NonSquareError
 from lme.geninv import (
+    CoreNilpotentDecomposition,
+    _index_and_rank,
     core_nilpotent,
     drazin,
     group_inverse,
@@ -11,10 +17,20 @@ from lme.geninv import (
     moore_penrose,
     scalar_dagger,
 )
-from lme.instances import haar_unitary, random_diagonalizer, random_index2, random_normal
+from lme.instances import (
+    haar_unitary,
+    random_diagonalizer,
+    random_equation_instance,
+    random_index2,
+    random_normal,
+)
+from lme.matcore import fro
+from lme.tolerances import TOL_RANK, TOL_ZERO
 
 NILP = np.array([[0, 1], [0, 0]], dtype=complex)
 JORDAN = np.array([[1, 1], [0, 1]], dtype=complex)
+# invertible, with inverse [[6.7e-309, -1], [0, 1]]; sigma_max and ||A||_F overflow
+OVERFLOWING = np.array([[1.5e308, 1.5e308], [0.0, 1.0]])
 
 
 def rand_complex(rng, shape):
@@ -227,3 +243,202 @@ def test_unitary_conjugation_keeps_normal_drazin():
     m = u @ np.diag(w) @ u.conj().T
     expected = u @ np.diag([scalar_dagger(z) for z in w]) @ u.conj().T
     np.testing.assert_allclose(drazin(m), expected, atol=1e-9)
+
+
+class TestOverflowingInputs:
+    """An overflowed sigma_max or norm would make every threshold inf and
+    every matrix read as zero; each function raises instead, without a numpy
+    warning."""
+
+    def test_moore_penrose(self):
+        with pytest.raises(NonFiniteError, match="^the largest singular value is not finite$"):
+            moore_penrose(OVERFLOWING)
+
+    def test_matrix_rank(self):
+        with pytest.raises(NonFiniteError, match="^the largest singular value is not finite$"):
+            matrix_rank(OVERFLOWING)
+
+    def test_drazin(self):
+        with pytest.raises(NonFiniteError, match="^the zero-threshold reference is not finite$"):
+            drazin(OVERFLOWING)
+
+    def test_core_nilpotent_scale(self):
+        with pytest.raises(NonFiniteError, match="^the zero-threshold reference is not finite$"):
+            core_nilpotent(np.eye(2), scale=np.inf)
+
+    def test_index_power(self):
+        # A itself is fine (rank 1 of 2); A^2 overflows inside the index loop
+        with pytest.raises(NonFiniteError):
+            index(np.array([[1e200, 1e200], [0.0, 0.0]]))
+
+
+def reference_core_nilpotent(a, tol_zero=TOL_ZERO, tol_rank=TOL_RANK, scale=None):
+    """The split as computed before one Schur form fed it: ``eigvals`` for
+    the cutoff, a plain or a sorted Schur form, then ``solve_sylvester``."""
+    m = np.asarray(a, dtype=complex)
+    n = m.shape[0]
+    base = max(1.0, fro(m)) if scale is None else max(1.0, scale)
+    thresh = tol_zero * base
+    eigs = np.linalg.eigvals(m)
+    if n and np.max(np.abs(eigs)) <= thresh:
+        core_size = 0
+    else:
+        core_size = _index_and_rank(m, tol_rank)[1]
+    if core_size in (0, n):
+        t, z = scipy.linalg.schur(m, output="complex")
+        k = core_size
+    else:
+        moduli = np.sort(np.abs(eigs))[::-1]
+        hi, lo = moduli[core_size - 1], moduli[core_size]
+        if hi > 2.0 * lo:
+            cutoff = np.sqrt(hi * max(lo, 1e-300 * hi)) if lo > 0 else hi / 2.0
+        else:
+            cutoff = thresh
+        t, z, sdim = scipy.linalg.schur(m, output="complex", sort=lambda lam: abs(lam) > cutoff)
+        k = int(sdim)
+    core = t[:k, :k].copy()
+    nil = t[k:, k:].copy()
+    small = np.flatnonzero(np.abs(np.diag(nil)) <= thresh)
+    nil[small, small] = 0.0
+    similarity = z
+    if 0 < k < n:
+        coupling = t[:k, k:]
+        if fro(coupling) > 0:
+            r = scipy.linalg.solve_sylvester(core, -nil, -coupling)
+            upper = np.eye(n, dtype=complex)
+            upper[:k, k:] = r
+            similarity = z @ upper
+    return CoreNilpotentDecomposition(similarity, core, nil, k)
+
+
+def assert_same_split(m, **kwargs):
+    got = core_nilpotent(m, **kwargs)
+    want = reference_core_nilpotent(m, **kwargs)
+    assert got.core_size == want.core_size
+    for name in ("similarity", "core", "nilpotent"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+def no_gap_input():
+    """S diag(1, 0.6, 0) S^-1 at tol_rank 0.7: the rank of A^index is 1, but
+    the moduli 1 and 0.6 leave no gap, so the plain threshold sorts two
+    eigenvalues into the core."""
+    rng = np.random.default_rng(0)
+    s = random_diagonalizer(rng, 3)
+    return s @ np.diag([1.0, 0.6, 0.0]) @ np.linalg.inv(s)
+
+
+class TestOneSchurFormAgainstReference:
+    """One Schur form reordered by ``trsen`` and a ``trsyl`` solve give the
+    bytes of the eigvals / sorted-Schur / ``solve_sylvester`` algorithm."""
+
+    def test_fixed_inputs(self):
+        for m in (NILP, JORDAN, np.diag([1.0, 2.0, 0.0]), np.zeros((3, 3)), np.eye(3)):
+            assert_same_split(m)
+
+    def test_index_two(self):
+        rng = np.random.default_rng(23)
+        for n in range(2, 20):
+            assert_same_split(random_index2(rng, n))
+
+    def test_rank_deficient_products(self):
+        rng = np.random.default_rng(24)
+        for n in range(2, 13):
+            for r in range(1, n):
+                assert_same_split(rank_deficient(rng, n, r))
+
+    def test_coefficient_sums(self):
+        rng = np.random.default_rng(25)
+        for trial in range(30):
+            n, k = int(rng.integers(2, 13)), int(rng.integers(1, 4))
+            spec, _ = random_equation_instance(rng, n, k, zero_diag_rows=1 + trial % 2)
+            scale = float(sum(fro(a) * fro(b) for a, b in zip(spec.a_list, spec.b_list)))
+            assert_same_split(coefficient_sum(spec))
+            assert_same_split(coefficient_sum(spec), scale=scale)
+
+    def test_no_gap_branch(self):
+        m = no_gap_input().astype(complex)
+        k = _index_and_rank(m, 0.7)[1]
+        moduli = np.sort(np.abs(np.linalg.eigvals(m)))[::-1]
+        assert k == 1 and moduli[0] <= 2.0 * moduli[1]  # the branch is reached
+        assert core_nilpotent(m, tol_rank=0.7).core_size == 2
+        assert_same_split(m, tol_rank=0.7)
+
+    def test_one_schur_form_per_split(self, monkeypatch):
+        calls = {"schur": 0, "eigvals": 0, "solve_sylvester": 0}
+
+        def counted(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(scipy.linalg, "schur")
+        counted(np.linalg, "eigvals")
+        counted(scipy.linalg, "solve_sylvester")
+        dec = core_nilpotent(random_index2(np.random.default_rng(26), 5))
+        assert dec.core_size == 3  # reordered and decoupled
+        assert calls == {"schur": 1, "eigvals": 0, "solve_sylvester": 0}
+
+
+# Residual bounds by index q.  A defective zero cluster of size q scatters to
+# about eps^(1/q), so the Drazin axioms hold to that order; each bound is at
+# least 50 times the largest residual seen at cond(S) <= 1e4.
+AXIOM_BOUND = {0: 1e-10, 1: 1e-10, 2: 1e-6, 3: 1e-4}
+
+
+def planted_index(seed, q, core_size, log_cond, log_scale):
+    """10**log_scale * S (diag(lam) + J_q) S^-1: core eigenvalues of modulus
+    1/2 to 2, one nilpotent Jordan block of size q, cond(S) = 10**log_cond."""
+    rng = np.random.default_rng(seed)
+    n = core_size + q
+    lam = rng.uniform(0.5, 2.0, core_size) * np.exp(2j * np.pi * rng.uniform(size=core_size))
+    block = np.zeros((n, n), dtype=complex)
+    block[:core_size, :core_size] = np.diag(lam)
+    block[np.arange(core_size, n - 1), np.arange(core_size + 1, n)] = 1.0
+    u, v = haar_unitary(rng, n), haar_unitary(rng, n)
+    s = u @ np.diag(np.logspace(0, log_cond, n)) @ v.conj().T
+    return 10.0**log_scale * (s @ block @ np.linalg.inv(s))
+
+
+@st.composite
+def indexed_matrices(draw):
+    """Index 0-3, cond(S) up to 1e4, scale 1e-6 to 1e6.  The core keeps at
+    least one eigenvalue at index 2 and two at index 3: with less, the rank
+    test on powers misreads the core size (CHANGES.md)."""
+    q = draw(st.integers(0, 3))
+    core_size = draw(st.integers((1, 0, 1, 2)[q], 4))
+    log_cond = draw(st.floats(0.0, 4.0))
+    log_scale = draw(st.floats(-6.0, 6.0))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return q, core_size, planted_index(seed, q, core_size, log_cond, log_scale)
+
+
+class TestDrazinUnderConditioning:
+    @settings(max_examples=150, deadline=None)
+    @given(indexed_matrices())
+    def test_split_and_axioms(self, drawn):
+        q, core_size, a = drawn
+        n = a.shape[0]
+        dec = core_nilpotent(a)
+        assert dec.core_size == core_size
+        na = fro(a)
+        full = np.zeros((n, n), dtype=complex)
+        full[:core_size, :core_size] = dec.core
+        full[core_size:, core_size:] = dec.nilpotent
+        s = dec.similarity
+        # nilpotent diagonals below the zero threshold are zeroed: allow 100 thresholds
+        recon = fro(s @ full @ np.linalg.inv(s) - a)
+        assert recon <= 100 * TOL_ZERO * max(1.0, na) * np.linalg.cond(s)
+        if q:
+            assert fro(np.linalg.matrix_power(dec.nilpotent, q)) <= 1e-10 * na**q
+        d = drazin(a)
+        nd = fro(d)
+        bound = AXIOM_BOUND[q]
+        aq = np.linalg.matrix_power(a, q)
+        assert fro(np.linalg.matrix_power(a, q + 1) @ d - aq) <= bound * (na ** (q + 1) * nd + na**q)
+        assert fro(d @ a @ d - d) <= bound * (nd * nd * na + nd)
+        assert fro(d @ a - a @ d) <= bound * nd * na

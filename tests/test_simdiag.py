@@ -233,6 +233,12 @@ class TestInducedVectors:
         with pytest.raises(NotADiagonalizerError):
             induced_vectors(fam, np.eye(3))
 
+    def test_singular_diagonalizer_is_typed(self):
+        # np.linalg.solve cannot factor a singular S; it diagonalizes no member
+        fam = validate_family([HOMOG_A, HOMOG_B])
+        with pytest.raises(NotADiagonalizerError, match="member 0"):
+            induced_vectors(fam, np.zeros((3, 3)))
+
 
 class TestMatchInducedSequences:
     def test_identity(self):
@@ -269,6 +275,10 @@ class TestMatchInducedSequences:
     def test_no_match(self):
         with pytest.raises(NoMatchingPermutationError):
             match_induced_sequences([np.array([1.0, 2.0])], [np.array([1.0, 5.0])])
+
+    def test_length_zero_vectors(self):
+        with pytest.raises(DimensionMismatchError, match="length 0"):
+            match_induced_sequences([np.array([])], [np.array([])])
 
 
 class TestCommutant:
