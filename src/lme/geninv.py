@@ -1,15 +1,14 @@
 """Generalized inverses: Moore-Penrose, Drazin, group inverse, matrix index.
 
-The Drazin inverse is computed through a core-nilpotent split that one
-complex Schur form feeds: its diagonal gives the eigenvalues, LAPACK
-``trsen`` reorders it so the near-zero eigenvalues trail, LAPACK ``trsyl``
-solves the triangular Sylvester equation that removes the coupling, and the
-core block is inverted.
+One core-nilpotent split feeds ``core_nilpotent``, ``drazin`` and
+``group_inverse``: a complex Schur form reordered by LAPACK ``trsen``, and a
+triangular Sylvester solve by LAPACK ``trsyl``.  ``drazin`` inverts only the
+core block.  ``group_inverse`` runs the index loop itself, the others inside
+the split, and none of them when A is all nilpotent.
 
-That split is the package's only use of scipy, so ``core_nilpotent`` imports
-``scipy.linalg`` when it first runs.  Importing lme, solving, the oracle and
-pair recovery never load scipy; the Drazin candidate of the consistency
-evidence (``x_hat``, ``check_consistent``) does.
+The split is the package's only use of scipy and imports ``scipy.linalg``
+when it first runs.  Importing lme, solving, the oracle and pair recovery
+never load scipy; the Drazin candidate of ``x_hat`` and ``check_consistent`` does.
 """
 
 from __future__ import annotations
@@ -48,9 +47,7 @@ def moore_penrose(a, tol_rank: float = TOL_RANK) -> np.ndarray:
         return np.zeros((m.shape[1], m.shape[0]), dtype=complex)
     u, s, vh = np.linalg.svd(m)
     cut = tol_rank * _require_finite(s[0], "the largest singular value")
-    r = int(np.count_nonzero(s > cut))
-    if r == 0:
-        return np.zeros((m.shape[1], m.shape[0]), dtype=complex)
+    r = int(np.count_nonzero(s > cut))  # r = 0 gives the zero matrix
     return vh[:r].conj().T @ ((u[:, :r].conj().T) / s[:r, None])
 
 
@@ -106,35 +103,18 @@ class CoreNilpotentDecomposition:
     core_size: int
 
 
-def core_nilpotent(
-    a,
-    tol_zero: float = TOL_ZERO,
-    tol_rank: float = TOL_RANK,
-    scale: float | None = None,
-) -> CoreNilpotentDecomposition:
-    """Split A into an invertible core and a nilpotent remainder.
+def _split(m: np.ndarray, tol_zero: float, tol_rank: float, scale: float | None, core_size: int | None):
+    """(Z, B, N, k, R) with Z unitary and A = Z [[I, R], [0, I]] (B ⊕ N) [[I, -R], [0, I]] Z^H,
+    from one complex Schur form A = Z T Z^H.
 
-    One complex Schur form A = Z T Z^H feeds every step.  The core size is
-    the rank of A^index(A), read off the loop that finds the index; a
-    modulus cutoff placed in the spectral gap of diag(T) selects the core
-    eigenvalues, and ``ztrsen`` reorders T and Z in place so that they lead
-    (the reordering ``gees`` runs when it sorts).  ``ztrsyl`` then solves
-    B R - R N = -T12 on the triangular blocks.  A plain threshold at
-    tol_zero * max(1, ||A||_F) cannot do this job because a defective zero
-    cluster of size k scatters its computed eigenvalues to roughly
-    eps^(1/k).  Nilpotent-block diagonal entries below the plain
-    threshold are zeroed, so exact inputs produce exactly nilpotent blocks.
-
-    ``scale`` overrides the zero-threshold reference; callers whose matrix is
-    a residue of cancellations (for example a coefficient sum that vanishes
-    exactly in exact arithmetic) pass the scale of the uncancelled inputs so
-    a noise-level matrix is split as all-nilpotent rather than inverted.  A
-    Frobenius norm that overflows, or a ``scale`` that is not finite, raises
-    ``NonFiniteError``.
-    """
+    k is 0 when every |T_ii| is below the zero threshold, else rank(A^index)
+    from the index loop or the caller's ``core_size``.  A cutoff in the gap
+    of diag(T) picks the k core eigenvalues for ``ztrsen`` (a defective zero
+    cluster of size q scatters to about eps^(1/q), past a plain threshold),
+    and ``ztrsyl`` solves B R - R N = -T12.  Nilpotent diagonal entries below
+    the threshold are zeroed, so exact inputs give exactly nilpotent blocks."""
     import scipy.linalg  # here, not at the top: it would be most of `import lme`
 
-    m = require_square(as_matrix(a))
     n = m.shape[0]
     with np.errstate(over="ignore"):
         ref = _require_finite(fro(m) if scale is None else scale, "the zero-threshold reference")
@@ -144,7 +124,7 @@ def core_nilpotent(
     if n and moduli.max() <= thresh:
         k = 0  # all nilpotent; no rank test needed
     else:
-        k = _index_and_rank(m, tol_rank)[1]
+        k = _index_and_rank(m, tol_rank)[1] if core_size is None else core_size
     if 0 < k < n:
         hi, lo = np.sort(moduli)[::-1][k - 1 : k + 1]
         if hi > 2.0 * lo:
@@ -158,17 +138,40 @@ def core_nilpotent(
     nil = t[k:, k:].copy()
     small = np.flatnonzero(np.abs(np.diag(nil)) <= thresh)
     nil[small, small] = 0.0
-    coupling = t[:k, k:]
-    if fro(coupling) > 0:
-        # decouple: [[I, R],[0, I]]^{-1} [[B, T12],[0, N]] [[I, R],[0, I]]
-        # is block diagonal when B R - R N = -T12, a triangular Sylvester equation
-        x, sylvester_scale, info = scipy.linalg.lapack.ztrsyl(core, nil, -coupling, isgn=-1)
+    r = np.zeros_like(t[:k, k:])
+    if fro(t[:k, k:]) > 0:
+        x, sylvester_scale, info = scipy.linalg.lapack.ztrsyl(core, nil, -t[:k, k:], isgn=-1)
         if info < 0:
             raise np.linalg.LinAlgError(f"ztrsyl: illegal value in argument {-info}")
-        upper = np.eye(n, dtype=complex)
-        upper[:k, k:] = x / sylvester_scale
+        r = x / sylvester_scale
+    return z, core, nil, k, r
+
+
+def core_nilpotent(
+    a,
+    tol_zero: float = TOL_ZERO,
+    tol_rank: float = TOL_RANK,
+    scale: float | None = None,
+) -> CoreNilpotentDecomposition:
+    """Split A into an invertible core and a nilpotent remainder, with the
+    similarity Z [[I, R], [0, I]] of ``_split``, which runs the index loop
+    unless A is all nilpotent.  ``scale`` overrides the zero-threshold
+    reference: callers whose matrix is a residue of cancellations (a
+    coefficient sum that vanishes in exact arithmetic) pass the scale of the
+    uncancelled inputs, so a noise-level matrix is split as all-nilpotent
+    rather than inverted.  An overflowing Frobenius norm or a ``scale`` that
+    is not finite raises ``NonFiniteError``."""
+    z, core, nil, k, r = _split(require_square(as_matrix(a)), tol_zero, tol_rank, scale, None)
+    if r.any():
+        upper = np.eye(z.shape[0], dtype=complex)
+        upper[:k, k:] = r
         z = z @ upper
     return CoreNilpotentDecomposition(z, core, nil, k)
+
+
+def _inverse_of_split(z, core, _, k, r) -> np.ndarray:
+    """Z[:, :k] B^{-1} [I, -R] Z^H: the similarity's inverse is [[I, -R], [0, I]] Z^H."""
+    return z[:, :k] @ np.linalg.solve(core, z[:, :k].conj().T - r @ z[:, k:].conj().T)
 
 
 def drazin(
@@ -177,19 +180,16 @@ def drazin(
     tol_rank: float = TOL_RANK,
     scale: float | None = None,
 ) -> np.ndarray:
-    """Drazin inverse S (B^{-1} ⊕ 0) S^{-1} from the core-nilpotent split."""
-    dec = core_nilpotent(a, tol_zero, tol_rank, scale)
-    n = dec.similarity.shape[0]
-    k = dec.core_size
-    block = np.zeros((n, n), dtype=complex)
-    if k:
-        block[:k, :k] = np.linalg.inv(dec.core)
-    return dec.similarity @ block @ np.linalg.inv(dec.similarity)
+    """Drazin inverse from ``_split``, which runs the index loop unless A is
+    all nilpotent, inverting only the k×k core; ``scale`` is as in ``core_nilpotent``."""
+    return _inverse_of_split(*_split(require_square(as_matrix(a)), tol_zero, tol_rank, scale, None))
 
 
 def group_inverse(a, tol_rank: float = TOL_RANK, tol_zero: float = TOL_ZERO) -> np.ndarray:
-    """Drazin inverse restricted to matrices of index at most one."""
-    q = index(a, tol_rank)
+    """Drazin inverse restricted to matrices of index at most one; the one
+    index loop rejects index > 1 and gives ``_split`` its core size."""
+    m = require_square(as_matrix(a))
+    q, rank = _index_and_rank(m, tol_rank)
     if q > 1:
         raise IndexTooLargeError(f"matrix has index {q}, group inverse needs index <= 1")
-    return drazin(a, tol_zero, tol_rank)
+    return _inverse_of_split(*_split(m, tol_zero, tol_rank, None, rank))

@@ -863,3 +863,27 @@ def test_one_hypothesis_message_on_every_command(files, capsys):
     assert err["verify"] == line[:-1] + " (input files)\n"
     # diagonalize has no equation: its members are its files, in order
     assert err["diagonalize"] == line.replace("A[0]", "member 0")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [("# only a comment\n\n# and another\n", "no matrix rows found"), ("1 2\n3\n", "rows have differing lengths")],
+    ids=["comments-only", "ragged-rows"],
+)
+def test_malformed_text_file_exit(tmp_path, capsys, text, message):
+    bad = tmp_path / "bad.txt"
+    bad.write_text(text)
+    assert main(["solve", "--a", str(bad), "--b", str(bad), "--c", str(bad)]) == EXIT_ERROR
+    assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+
+
+def test_report_on_stdout_is_the_out_file(files, capsys):
+    argv = equation_argv(files, "solve", *REPORT_CASES["solve", "consistent"])[0]
+    assert argv[-2] == "--out"
+    assert main(argv) == EXIT_OK
+    capsys.readouterr()
+    assert main(argv[:-2]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    with open(argv[-1], "rb") as fh:
+        assert captured.out.encode("utf-8") == fh.read()

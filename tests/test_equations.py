@@ -15,7 +15,9 @@ from lme.equations import (
     check_consistent,
     equation_residual,
     equation_spec,
+    lyapunov_gate,
     named_form_pair_count,
+    named_form_spec,
     relevant_matrix,
     solve,
     solve_continuous_lyapunov,
@@ -897,3 +899,19 @@ def test_standard_spec_shape():
     std = standard_spec(spec)
     assert std.k == 1
     np.testing.assert_allclose(std.a_list[0], HOMOG_A @ HOMOG_B + 2 * I3, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: lme.EquationSpec([], [], I2), DimensionMismatchError, "^the equation needs at least one term$"),
+        (lambda: relevant_matrix([np.ones(2)], [], np.ones(2)), DimensionMismatchError, "^need matching, non-empty"),
+        (lambda: relevant_matrix([], [], np.ones(2)), DimensionMismatchError, "^need matching, non-empty"),
+        (lambda: named_form_spec("foo", I2, I2), ValueError, "^unknown named form 'foo'$"),
+        (lambda: lyapunov_gate(I2, I3), DimensionMismatchError, r"^shapes differ: \(2, 2\) vs \(3, 3\)$"),
+    ],
+    ids=["no-terms", "unmatched-vectors", "no-vectors", "unknown-form", "lyapunov-sizes"],
+)
+def test_rejections(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

@@ -235,6 +235,45 @@ class TestGroupInverse:
         a = np.diag([1.0, 1e-11])
         np.testing.assert_allclose(group_inverse(a, tol_rank=1e-12), np.diag([1.0, 1e11]), rtol=1e-12)
 
+    def test_one_index_loop_and_one_schur_form(self, monkeypatch):
+        calls = {"svd": 0, "schur": 0}
+        for module, name in ((np.linalg, "svd"), (scipy.linalg, "schur")):
+            original = getattr(module, name)
+
+            def wrapper(*args, _original=original, _name=name, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+        group_inverse(np.diag([1.0, 2.0, 0.0]))
+        # the loop ranks A and A^2; a second loop inside the split would double it
+        assert calls == {"svd": 2, "schur": 1}
+
+    def test_bitwise_the_drazin_inverse_at_index_at_most_one(self):
+        rng = np.random.default_rng(27)
+        mats = [
+            np.diag([1.0, 2.0, 0.0]),
+            np.diag([1.0, 0.0]),
+            np.zeros((3, 3)),
+            1e-12 * np.eye(3),  # the all-nilpotent shortcut decides, not the loop's rank 3
+            rand_complex(rng, (4, 4)) + 4 * np.eye(4),
+            *(random_normal(rng, n) for n in range(2, 8)),
+            *(rank_deficient(rng, n, n - 1) for n in range(2, 8)),
+        ]
+        for n in range(2, 10):
+            s = random_diagonalizer(rng, n)
+            mats.append(s @ np.diag(rng.choice([0.0, 1.0, -2.0, 3j], size=n)) @ np.linalg.inv(s))
+        for m in mats:
+            assert index(m) <= 1
+            assert np.array_equal(group_inverse(m), drazin(m))
+        assert not group_inverse(1e-12 * np.eye(3)).any()
+
+    def test_index_two_inputs_rejected(self):
+        rng = np.random.default_rng(28)
+        for n in range(2, 12):
+            with pytest.raises(IndexTooLargeError):
+                group_inverse(random_index2(rng, n))
+
 
 def test_unitary_conjugation_keeps_normal_drazin():
     rng = np.random.default_rng(21)
@@ -243,6 +282,12 @@ def test_unitary_conjugation_keeps_normal_drazin():
     m = u @ np.diag(w) @ u.conj().T
     expected = u @ np.diag([scalar_dagger(z) for z in w]) @ u.conj().T
     np.testing.assert_allclose(drazin(m), expected, atol=1e-9)
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (2, 0), (0, 0)])
+def test_size_zero_inputs(shape):
+    assert moore_penrose(np.zeros(shape)).shape == shape[::-1]
+    assert matrix_rank(np.zeros(shape)) == 0
 
 
 class TestOverflowingInputs:
@@ -382,6 +427,51 @@ class TestOneSchurFormAgainstReference:
         dec = core_nilpotent(random_index2(np.random.default_rng(26), 5))
         assert dec.core_size == 3  # reordered and decoupled
         assert calls == {"schur": 1, "eigvals": 0, "solve_sylvester": 0}
+
+
+def reference_drazin(m, **kwargs):
+    """S (B^{-1} ⊕ 0) S^{-1}, assembled from the reference split with an n×n
+    inverse of its similarity."""
+    dec = reference_core_nilpotent(m, **kwargs)
+    n, k = dec.similarity.shape[0], dec.core_size
+    block = np.zeros((n, n), dtype=complex)
+    block[:k, :k] = np.linalg.inv(dec.core)
+    return dec.similarity @ block @ np.linalg.inv(dec.similarity)
+
+
+def reference_cases():
+    """Every input of TestOneSchurFormAgainstReference, with its keywords."""
+    cases = [(m, {}) for m in (NILP, JORDAN, np.diag([1.0, 2.0, 0.0]), np.zeros((3, 3)), np.eye(3))]
+    rng = np.random.default_rng(23)
+    cases += [(random_index2(rng, n), {}) for n in range(2, 20)]
+    rng = np.random.default_rng(24)
+    cases += [(rank_deficient(rng, n, r), {}) for n in range(2, 13) for r in range(1, n)]
+    rng = np.random.default_rng(25)
+    for trial in range(30):
+        n, k = int(rng.integers(2, 13)), int(rng.integers(1, 4))
+        spec, _ = random_equation_instance(rng, n, k, zero_diag_rows=1 + trial % 2)
+        scale = float(sum(fro(a) * fro(b) for a, b in zip(spec.a_list, spec.b_list)))
+        cases += [(coefficient_sum(spec), {}), (coefficient_sum(spec), {"scale": scale})]
+    return cases + [(no_gap_input().astype(complex), {"tol_rank": 0.7})]
+
+
+def test_drazin_matches_the_similarity_assembly(monkeypatch):
+    """The closed-form inverse of Z [[I, R], [0, I]] gives the Drazin inverse
+    of the n×n assembly to 1e-12, relative, without an n×n inverse."""
+    cases = reference_cases()
+    assert len(cases) == 5 + 18 + 66 + 60 + 1
+    wants = [reference_drazin(m, **kwargs) for m, kwargs in cases]
+    inverted = []
+    original = np.linalg.inv
+
+    def counted(x):
+        inverted.append(x.shape)
+        return original(x)
+
+    monkeypatch.setattr(np.linalg, "inv", counted)
+    for (m, kwargs), want in zip(cases, wants):
+        assert fro(drazin(m, **kwargs) - want) <= 1e-12 * fro(want)
+    assert inverted == []
 
 
 # Residual bounds by index q.  A defective zero cluster of size q scatters to

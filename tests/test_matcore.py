@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from lme.errors import DimensionMismatchError, EmptyListError, NonFiniteError, NonSquareError
 from lme.matcore import (
     Permutation,
+    as_matrix,
     canonical_sort_indices,
     cluster_means,
     cluster_values,
@@ -400,3 +401,17 @@ class TestCanonicalSortIndices:
         # modulus 1 throughout; 1 and 1 + 1e-12j tie on every key
         values = np.array([1j, 1, -1j, -1, 1 + 1e-12j])
         assert canonical_sort_indices(values, 1e-8) == [1, 4, 0, 2, 3]
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: as_matrix(np.ones(3)), r"^matrix must be 2-D, got shape \(3,\)$"),
+        (lambda: as_matrix(np.ones((2, 2, 2))), r"^matrix must be 2-D, got shape \(2, 2, 2\)$"),
+        (lambda: Permutation((2, 1)).compose(Permutation((1, 2, 3))), "^permutation sizes differ$"),
+    ],
+    ids=["as-matrix-1d", "as-matrix-3d", "compose-sizes"],
+)
+def test_shape_rejections(call, message):
+    with pytest.raises(DimensionMismatchError, match=message):
+        call()

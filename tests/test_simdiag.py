@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from lme.errors import (
     DimensionMismatchError,
+    EmptyListError,
     IntersectionAmbiguousError,
     NoMatchingPermutationError,
     NonFiniteError,
@@ -1020,3 +1021,31 @@ class TestLeanPassAgainstReference:
         solve(spec)
         assert sorted(shape[-1] for shape in shapes) == [1, 2, 3]
         assert sorted(shape[0] for shape in shapes) == [1, 2, 2]
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: validate_family([]), EmptyListError, "^family must contain at least one matrix$"),
+        (
+            lambda: induced_vectors(validate_family([HOMOG_A]), np.eye(2)),
+            DimensionMismatchError,
+            "^diagonalizer size does not match family$",
+        ),
+        (
+            lambda: match_induced_sequences([[1, 2]], [[1, 2], [2, 1]]),
+            DimensionMismatchError,
+            "^sequences have different lengths$",
+        ),
+        (lambda: match_induced_sequences([], []), EmptyListError, "^sequences must be non-empty$"),
+        (
+            lambda: match_induced_sequences([[1, 2]], [[1, 2, 3]]),
+            DimensionMismatchError,
+            "^all vectors must share one length$",
+        ),
+    ],
+    ids=["empty-family", "diagonalizer-size", "sequence-counts", "no-sequences", "vector-lengths"],
+)
+def test_rejections(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
