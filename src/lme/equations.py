@@ -37,7 +37,7 @@ from .errors import (
     NotHermitianRhsError,
     NotNormalError,
 )
-from .matcore import as_matrix, commutes, fro, is_normal, require_square
+from .matcore import _commutes_within, as_matrix, commutes, fro, is_normal, require_square
 from .simdiag import StarSequence, simultaneous_diagonalizer, validate_family
 from .tolerances import DEFAULT, TOL_ZERO, Tolerances
 
@@ -333,7 +333,12 @@ def solve(spec: EquationSpec, tol: Tolerances = DEFAULT) -> AffineSolutionSet:
     commuting family of diagonalizable matrices; that case is outside this
     solver's scope and belongs to the brute-force oracle.  Its cause names
     the members by their role in the spec: A[j], B[j] or C.  A member norm
-    or commutator that overflows raises NonFiniteError, not wrapped.
+    or commutator that overflows raises NonFiniteError, not wrapped, and so
+    does a candidate X̂ with an entry that overflows.
+
+    Each member is validated and normed once, by ``validate_family``; the
+    normal certificate tests each member's commutation with its adjoint on
+    the norms the family keeps.
     """
     if tol in spec._solved:
         return spec._solved[tol]
@@ -361,15 +366,19 @@ def solve(spec: EquationSpec, tol: Tolerances = DEFAULT) -> AffineSolutionSet:
     consistent = witness is None
     s, s_inv = star.diagonalizer, star.inverse
     # the raw diagonals, not the cluster means: their ratio is what makes
-    # S diag(d) S^{-1} solve the equation on C itself
-    d = np.divide(raw[2 * k], np.diag(rel_raw.gamma), out=np.zeros(spec.n, complex), where=~diag_zero)
-    x = (s * d) @ s_inv
+    # S diag(d) S^{-1} solve the equation on C itself; an overflow is
+    # reported by the NonFiniteError below, not by numpy
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = np.divide(raw[2 * k], np.diag(rel_raw.gamma), out=np.zeros(spec.n, complex), where=~diag_zero)
+        x = (s * d) @ s_inv
+    if not np.all(np.isfinite(x)):
+        raise NonFiniteError("the candidate X̂ = S diag(c_r / gamma[r, r]) S^{-1} overflows")
     basis = FactoredBasis(s, s_inv, *np.nonzero(rel.zero_mask))
     certificate = None
-    if all(is_normal(m, tol.commute) for m in family.members):
-        off = rel.zero_mask.copy()
-        np.fill_diagonal(off, False)
-        certificate = not bool(off.any())
+    # M is normal iff it commutes with M*, whose norm is M's own
+    members = zip(family.members, family.norms)
+    if all(_commutes_within(m, m.conj().T, tol.commute, norm, norm) for m, norm in members):
+        certificate = not (rel.zero_mask & ~np.eye(spec.n, dtype=bool)).any()
     # rel's vectors are star.vectors themselves; S and S^{-1} are star's and basis's
     _freeze(x, s, s_inv, basis.rows, basis.cols, rel.gamma, rel.zero_mask, *star.vectors, *star.diagonals)
     result = spec._solved[tol] = AffineSolutionSet(

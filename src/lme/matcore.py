@@ -7,7 +7,7 @@ function validates its inputs and returns fresh arrays.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cmp_to_key
 
 import numpy as np
@@ -141,14 +141,14 @@ class JointEigenbasis:
     """A matrix S that diagonalizes every member of a family, with S^{-1}
     and the diagonals of S^{-1} M_j S, one per member.  Columns of S that
     share an eigenvalue of the family's generic combination are orthonormal;
-    ``condition_estimate`` is the 1-norm condition number of S.  ``_norms``
-    are the members' Frobenius norms that the basis was scaled by."""
+    ``condition_estimate`` is the 1-norm condition number of S.  It keeps
+    nothing of its caller's: the member norms it was scaled by stay with
+    the caller (``CommutingFamily.norms``)."""
 
     diagonalizer: np.ndarray
     inverse: np.ndarray
     diagonals: tuple[np.ndarray, ...]
     condition_estimate: float
-    _norms: tuple[float, ...] = field(repr=False, compare=False)
 
 
 def canonical_sort_indices(values: np.ndarray, gap: float) -> list[int]:
@@ -321,7 +321,7 @@ def _eigenbasis_of_mix(mats, seed: int, tol_recon: float, tol_cluster: float, no
         off_mass = fro(d)
         if off_mass > tol_recon * max(1.0, norm):
             raise NotDiagonalizableError(i, f"off-diagonal mass {off_mass:.3e} in the eigenbasis")
-    return JointEigenbasis(s, s_inv, tuple(diagonals), cond, tuple(norms))
+    return JointEigenbasis(s, s_inv, tuple(diagonals), cond)
 
 
 def eig_decompose(m, tol: float = TOL_RECON, tol_cluster: float = TOL_CLUSTER) -> EigenDecomposition:
@@ -362,10 +362,12 @@ def _commutes_within(a: np.ndarray, b: np.ndarray, tol: float, norm_a: float, no
 
 
 def is_normal(m, tol: float = TOL_COMMUTE) -> bool:
-    """True iff ||M M* - M* M||_F <= tol * max(1, ||M||_F^2)."""
+    """True iff M commutes with M* within ``tol``: the test of ``commutes``,
+    ||M M* - M* M||_F <= tol * max(1, ||M||_F ||M*||_F), where
+    ||M*||_F = ||M||_F."""
     a = require_square(as_matrix(m))
-    h = a.conj().T
-    return fro(a @ h - h @ a) <= tol * max(1.0, fro(a) ** 2)
+    norm = fro(a)
+    return _commutes_within(a, a.conj().T, tol, norm, norm)
 
 
 def permutation_matrix(sigma: Permutation) -> np.ndarray:

@@ -63,12 +63,14 @@ __all__ = [
 @dataclass(frozen=True)
 class CommutingFamily:
     """An ordered, validated family of pairwise-commuting diagonalizable
-    matrices of a common size, with the tolerances it was validated at and
-    the joint eigenbasis that ``validate_family`` found for it."""
+    matrices of a common size, with the tolerances it was validated at, the
+    joint eigenbasis that ``validate_family`` found for it and the members'
+    Frobenius norms, in member order, that it took on the way."""
 
     members: tuple[np.ndarray, ...]
     tol: Tolerances
     eigenbasis: JointEigenbasis = field(repr=False, compare=False)
+    norms: tuple[float, ...] = field(repr=False, compare=False)
 
     @property
     def size(self) -> int:
@@ -124,12 +126,14 @@ def validate_family(members, tol: Tolerances = DEFAULT, names=None) -> Commuting
     or a pair whose commutator residual does, raises NonFiniteError naming
     it, before any gate decides on an infinite or NaN figure.
 
-    Each member's Frobenius norm is taken once, here, and reused by the
-    commutator tests, the weights of the joint eigensolve, its ``recon``
-    thresholds and the cluster gaps of ``simultaneous_diagonalizer``.  The
-    members are validated once too; the pairwise test runs on them as they
-    are.  Each commutator stays one pair of BLAS products: batched over all
-    pairs it was slower at n=128."""
+    Each member's Frobenius norm is taken once, here, and kept on the
+    result as ``norms``.  The commutator tests, the weights of the joint
+    eigensolve and its ``recon`` thresholds use them here; the cluster gaps
+    of ``simultaneous_diagonalizer``, the off-diagonal test of
+    ``induced_vectors`` and ``solve``'s normal certificate read them later.
+    The members are validated once too; the pairwise test runs on them as
+    they are.  Each commutator stays one pair of BLAS products: batched over
+    all pairs it was slower at n=128."""
     members = list(members)
     label = list(names) if names else [f"member {i}" for i in range(len(members))]
     mats = [require_square(as_matrix(m, label[i]), label[i]) for i, m in enumerate(members)]
@@ -175,7 +179,7 @@ def validate_family(members, tol: Tolerances = DEFAULT, names=None) -> Commuting
             "the members are diagonalizable one by one but share no eigenbasis "
             f"within tolerance ({culprit}{exc.detail})"
         ) from exc
-    return CommutingFamily(tuple(mats), tol, basis)
+    return CommutingFamily(tuple(mats), tol, basis, tuple(norms))
 
 
 def simultaneous_diagonalizer(family: CommutingFamily) -> StarSequence:
@@ -187,15 +191,15 @@ def simultaneous_diagonalizer(family: CommutingFamily) -> StarSequence:
     lexicographically by the canonical cluster ranks, member 0 first;
     ``levels[j]`` are the runs of equal ranks of members 0..j.
 
-    The gaps reuse the member norms that ``validate_family`` took.  Each
-    member's means come with its clusters, taken once, and its ranks and
-    vectors are set by one index operation each.
+    The gaps reuse the member norms that ``validate_family`` kept on the
+    family.  Each member's means come with its clusters, taken once, and
+    its ranks and vectors are set by one index operation each.
     """
     basis = family.eigenbasis
     n = family.size
     ranks = np.empty((len(family), n), dtype=int)
     vectors = np.empty((len(family), n), dtype=complex)
-    for j, (norm, d) in enumerate(zip(basis._norms, basis.diagonals)):
+    for j, (norm, d) in enumerate(zip(family.norms, basis.diagonals)):
         groups, means = _clusters(d, family.tol.cluster * max(1.0, norm))
         rank = [0] * n
         for r, group in enumerate(groups):
@@ -227,18 +231,19 @@ def star_vector_of(m, tol: Tolerances = DEFAULT) -> np.ndarray:
 
 def induced_vectors(family: CommutingFamily, s) -> list[np.ndarray]:
     """Diagonals of S^{-1} M S for each member, after checking that S really
-    diagonalizes every member at the family's commutation tolerance."""
+    diagonalizes every member at the family's commutation tolerance, relative
+    to the member norms the family keeps."""
     smat = require_square(as_matrix(s, "S"), "S")
     if smat.shape[0] != family.size:
         raise DimensionMismatchError("diagonalizer size does not match family")
     out = []
-    for i, m in enumerate(family.members):
+    for i, (m, norm) in enumerate(zip(family.members, family.norms)):
         try:
             d = np.linalg.solve(smat, m @ smat)
         except np.linalg.LinAlgError:  # a singular S diagonalizes no member
             raise NotADiagonalizerError(i, math.inf) from None
         off_mass = fro(d - np.diag(np.diag(d)))
-        if off_mass > family.tol.commute * max(1.0, fro(m)):
+        if off_mass > family.tol.commute * max(1.0, norm):
             raise NotADiagonalizerError(i, off_mass)
         out.append(np.diag(d).copy())
     return out
@@ -345,7 +350,7 @@ def _induced_pair(family: CommutingFamily, star: StarSequence):
     n = family.size
     avec = star.vectors[0]
     blocks = star.levels[0]
-    norm_a, norm_b = family.eigenbasis._norms
+    norm_a, norm_b = family.norms
     gap = tol.cluster * max(1.0, norm_b)
     b_eigs = np.linalg.eigvals(bmat)
     b_groups, b_reps = _clusters(b_eigs, gap)

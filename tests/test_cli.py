@@ -667,6 +667,19 @@ class TestOverflowingInputs:
         assert code == EXIT_ERROR
         assert capsys.readouterr().err == "error: the commutator of A[0] and B[0] overflows\n"
 
+    def test_solve_with_an_overflowing_candidate(self, files, capsys):
+        # every gate passes, but c_r / gamma[r, r] is about 1e310
+        write, _ = files
+        code = main([
+            "solve",
+            "--a", write("a.json", np.diag([1, 2, 3]) * 1e-160),
+            "--b", write("b.json", np.eye(3)),
+            "--c", write("c.json", np.diag([1, 2, 3]) * 1e150),
+        ])
+        assert code == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err == "error: the candidate X̂ = S diag(c_r / gamma[r, r]) S^{-1} overflows\n"
+
     @pytest.mark.parametrize("command", ["clyap", "dlyap"])
     def test_lyapunov_with_an_overflowing_norm(self, files, capsys, command):
         # A is normal; at 1e160 A A* overflows and the normality test read nan

@@ -49,7 +49,7 @@ from lme.instances import (
 )
 from lme.matcore import commutes, fro, is_normal
 from lme.oracle import compare, oracle_solve, vectorize
-from lme.tolerances import TOL_RES, Tolerances
+from lme.tolerances import TOL_COMMUTE, TOL_RES, Tolerances
 
 HOMOG_A = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 1]], dtype=complex)
 HOMOG_B = np.array([[1, -1, 0], [-1, 1, 0], [0, 0, 2]], dtype=complex)
@@ -304,6 +304,18 @@ class TestDegenerateAndOverflowingEquations:
         b = s @ np.diag([2, 1, 1, 3]) @ s_inv * 1e100
         with pytest.raises(NonFiniteError, match="^the commutator of A\\[0\\] and B\\[0\\] overflows$"):
             solve(equation_spec([a], [b], np.eye(4)))
+
+    def test_overflowing_candidate_is_an_input_error(self):
+        # every gate passes, but d_r = c_r / gamma[r, r] is about 1e310; under
+        # pytest a numpy RuntimeWarning is an error, so this also pins that
+        # the overflow is not reported by numpy
+        spec = equation_spec([1e-160 * np.diag([1.0, 2.0, 3.0])], [I3], 1e150 * np.diag([1.0, 2.0, 3.0]))
+        with pytest.raises(NonFiniteError, match="^the candidate X̂ = .* overflows$"):
+            solve(spec)
+        # errors are not memoized: the next call raises again
+        assert not spec._solved
+        with pytest.raises(NonFiniteError, match="X̂"):
+            solve(spec)
 
     @pytest.mark.filterwarnings("error:overflow encountered")
     @pytest.mark.parametrize("solver", [solve_continuous_lyapunov, solve_discrete_lyapunov])
@@ -884,6 +896,24 @@ class TestNormalCertificate:
         off_cells = [b for (r, c), b in zip(res.relevant.cells, res.basis) if r != c]
         assert off_cells
         assert any(not is_normal(b, 1e-8) for b in off_cells)
+
+    @pytest.mark.parametrize("seed, n, k, zero_rows", [(0, 4, 1, 0), (1, 6, 2, 1), (2, 8, 3, 2)])
+    def test_certificate_reuses_the_family(self, monkeypatch, seed, n, k, zero_rows):
+        # the certificate decides on the validated members and the norms the
+        # family keeps, so is_normal, which validates and norms again, never runs
+        spec, _ = random_equation_instance(np.random.default_rng(seed), n, k, zero_rows, unitary=True)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("is_normal called")
+
+        monkeypatch.setattr(lme.equations, "is_normal", refuse)
+        res = solve(spec)
+        normal = all(
+            fro(m @ m.conj().T - m.conj().T @ m) <= TOL_COMMUTE * max(1.0, fro(m) ** 2) for m in spec.members()
+        )
+        off_zero = res.relevant.zero_mask & ~np.eye(n, dtype=bool)
+        assert normal
+        assert res.normal_certificate is (not off_zero.any())
 
     def test_all_offdiagonal_nonzero_solutions_normal(self):
         rng = np.random.default_rng(69)

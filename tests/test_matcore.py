@@ -14,10 +14,12 @@ from lme.matcore import (
     direct_sum,
     direct_sum_permutation,
     eig_decompose,
+    fro,
     is_normal,
     permutation_matrix,
     permute_vector,
 )
+from lme.instances import haar_unitary
 
 SWAP = np.array([[0, 1], [1, 0]], dtype=complex)
 JORDAN = np.array([[1, 1], [0, 1]], dtype=complex)
@@ -112,6 +114,56 @@ class TestPredicates:
         for _ in range(10):
             m = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
             assert is_normal(m) == is_normal(m.conj().T)
+
+
+def reference_is_normal(m, tol):
+    """The normality test as a formula of its own: the residual against
+    tol * max(1, ||M||_F ** 2)."""
+    h = m.conj().T
+    return fro(m @ h - h @ m) <= tol * max(1.0, fro(m) ** 2)
+
+
+class TestNormalityIsCommutationWithTheAdjoint:
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 5), exponent=st.floats(-150, 150),
+           kind=st.sampled_from(["normal", "near-normal", "non-normal"]),
+           nudge=st.sampled_from([1e-13, 1e-11, 1e-10, 1e-9, 1e-7]),
+           tol=st.sampled_from([1e-14, 1e-10, 1e-6]))
+    @example(seed=0, n=3, exponent=0.0, kind="near-normal", nudge=1e-10, tol=1e-10)
+    def test_same_verdict_as_the_formula(self, seed, n, exponent, kind, nudge, tol):
+        rng = np.random.default_rng(seed)
+        scale = 10.0 ** exponent
+        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        if kind == "non-normal":
+            m = scale * g
+        else:
+            u = haar_unitary(rng, n)
+            lam = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            m = scale * ((u * lam) @ u.conj().T + (nudge * g if kind == "near-normal" else 0))
+        # above entries of about 1e77 the residual's norm overflows to inf
+        # (or reads nan); both sides then compare that figure
+        with np.errstate(over="ignore", invalid="ignore"):
+            h = m.conj().T
+            resid = fro(m @ h - h @ m)
+            threshold = tol * max(1.0, fro(m) ** 2)
+            verdicts = is_normal(m, tol), reference_is_normal(m, tol)
+        # is_normal takes the squared norm as ||M||_F * ||M||_F, the reference
+        # as ||M||_F ** 2.  Python's ** is libm pow, which differs from the
+        # product by one ulp on about 2,600 of 3,000,000 log-uniform floats in
+        # 1e-150..1e150 (glibc 2.36, x86-64), so a residual within one ulp of
+        # the threshold may be decided either way.
+        if abs(resid - threshold) <= np.spacing(threshold):
+            return
+        assert verdicts[0] == verdicts[1]
+
+    def test_normal_iff_commutes_with_adjoint(self):
+        rng = np.random.default_rng(4)
+        u = haar_unitary(rng, 4)
+        normal = (u * (rng.standard_normal(4) + 1j * rng.standard_normal(4))) @ u.conj().T
+        skewed = normal + np.triu(np.ones((4, 4)), 1)
+        for m in (normal, skewed, JORDAN, SWAP):
+            assert is_normal(m) == commutes(m, m.conj().T)
+        assert is_normal(normal) and not is_normal(skewed)
 
 
 class TestPermutation:

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,6 +22,7 @@ from lme.matcore import (
     _FALLBACK_SEED,
     _MIX_SEED,
     _RCOND_FLOOR,
+    JointEigenbasis,
     Permutation,
     _eigenbasis_of_mix,
     cluster_means,
@@ -1021,6 +1024,29 @@ class TestLeanPassAgainstReference:
         solve(spec)
         assert sorted(shape[-1] for shape in shapes) == [1, 2, 3]
         assert sorted(shape[0] for shape in shapes) == [1, 2, 2]
+
+
+class TestFamilyNorms:
+    """The family owns its member norms; the joint eigenbasis keeps none."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), sizes=group_sizes(), k=st.integers(1, 4),
+           scale=st.sampled_from([1e-60, 1e-4, 1.0, 1e4, 1e60]))
+    def test_norms_are_the_member_norms(self, seed, sizes, k, scale):
+        members = grouped_family(seed, sizes, k, 10.0, scale)
+        family = validate_family(members)
+        assert [x.hex() for x in family.norms] == [fro(m).hex() for m in members]
+
+    def test_norms_stay_out_of_repr_and_equality(self):
+        family = validate_family([HOMOG_A, HOMOG_B])
+        assert "norms" not in repr(family)
+        assert "norms" in {f.name for f in fields(family) if not f.compare}
+
+    def test_joint_eigenbasis_keeps_no_caller_data(self):
+        assert [f.name for f in fields(JointEigenbasis)] == [
+            "diagonalizer", "inverse", "diagonals", "condition_estimate",
+        ]
+        assert not hasattr(validate_family([HOMOG_A]).eigenbasis, "_norms")
 
 
 @pytest.mark.parametrize(
