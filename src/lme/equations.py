@@ -15,8 +15,9 @@ divides the r-th diagonal entry of S^{-1} C S by sum_j of the r-th diagonal
 entries of S^{-1} A_j S and S^{-1} B_j S (taken as computed, not as cluster
 means), and d_r = 0 where gamma[r, r] is a zero cell.  Its ``basis`` is a
 lazy ``FactoredBasis`` that forms the dense S E_rs S^{-1} only when indexed.
-The Schur-based Drazin candidate ``x_hat`` is the independent view that
-``consistency_evidence`` checks it against.
+The Drazin candidate ``x_hat``, a group inverse from one SVD of
+sum_j A_j B_j, is the independent view that ``consistency_evidence`` checks
+it against.
 """
 
 from __future__ import annotations
@@ -304,7 +305,9 @@ def x_hat(spec: EquationSpec, tol: Tolerances = DEFAULT) -> np.ndarray:
     The Drazin inverse runs at ``tol.zero`` and ``tol.rank``.  Its zero
     threshold is referenced to the size of the uncancelled products, so a
     coefficient sum that vanishes up to rounding is treated as the zero
-    matrix instead of being inverted.
+    matrix instead of being inverted.  Under the hypothesis the sum has
+    index at most one, and ``geninv.drazin`` takes it as the group inverse
+    from one SVD; the Schur split serves only sums of index two or more.
     """
     scale = float(sum(fro(a) * fro(b) for a, b in zip(spec.a_list, spec.b_list)))
     return geninv.drazin(coefficient_sum(spec), tol.zero, tol.rank, scale=scale) @ spec.rhs
@@ -403,7 +406,9 @@ class ConsistencyEvidence:
     The five flags must agree for well-conditioned input; any disagreement is
     surfaced in ``diagnostics`` rather than resolved silently.  The two
     residuals are those of the Drazin candidate (sum_j A_j B_j)^Drazin C,
-    computed apart from the eigenbasis that ``solve`` used.
+    computed apart from the eigenbasis that ``solve`` used.  The candidate
+    and the rank test each factor W = sum_j A_j B_j with an SVD of their
+    own: no factorization is shared between views.
     """
 
     consistent: bool
@@ -452,9 +457,10 @@ def consistency_evidence(spec: EquationSpec, result: AffineSolutionSet) -> Consi
     diagonal rule on the relevant matrix, the residual of the Drazin
     candidate ``x_hat`` in the equation itself, a rank test on the attached
     standard equation, and the candidate's residual in the standard
-    equation.  A diagnostic is added when the Drazin candidate and
-    ``result.x_hat`` (read off the eigenbasis) differ by more than the
-    ``res`` tolerance, relative, or by NaN."""
+    equation.  The candidate's SVD of W and the rank test's SVDs of W and
+    [W C] are separate factorizations.  A diagnostic is added when the
+    Drazin candidate and ``result.x_hat`` (read off the eigenbasis) differ
+    by more than the ``res`` tolerance, relative, or by NaN."""
     tol = result.tolerances
     xh = x_hat(spec, tol)
     res_eq = equation_residual(spec, xh)

@@ -1,14 +1,23 @@
 """Generalized inverses: Moore-Penrose, Drazin, group inverse, matrix index.
 
-One core-nilpotent split feeds ``core_nilpotent``, ``drazin`` and
-``group_inverse``: a complex Schur form reordered by LAPACK ``trsen``, and a
-triangular Sylvester solve by LAPACK ``trsyl``.  ``drazin`` inverts only the
-core block.  ``group_inverse`` runs the index loop itself, the others inside
-the split, and none of them when A is all nilpotent.
+``drazin`` and ``group_inverse`` first try the group inverse from one SVD,
+A = U S V^H: with the full-rank factors F = U_r S_r and G = V_r^H,
+A^# = F (G F)^{-2} G (Cline 1968).  It serves every matrix of index at most
+one whose decisions it can make as the split below would, which covers the
+coefficient sums of commuting diagonalizable families, and gives way to the
+split otherwise.
+
+One core-nilpotent split feeds ``core_nilpotent`` and the other inputs of
+``drazin`` and ``group_inverse``: a complex Schur form reordered by LAPACK
+``trsen``, and a triangular Sylvester solve by LAPACK ``trsyl``.  ``drazin``
+inverts only the core block.  ``group_inverse`` runs the index loop itself
+and hands its rank to the branch and the split; the split runs the loop for
+the others unless A is all nilpotent.
 
 The split is the package's only use of scipy and imports ``scipy.linalg``
-when it first runs.  Importing lme, solving, the oracle and pair recovery
-never load scipy; the Drazin candidate of ``x_hat`` and ``check_consistent`` does.
+when it first runs.  Importing lme, solving, ``check_consistent``, the CLI's
+reports, the oracle and pair recovery never load scipy; ``core_nilpotent``
+and a Drazin inverse of index two or more do.
 """
 
 from __future__ import annotations
@@ -103,6 +112,45 @@ class CoreNilpotentDecomposition:
     core_size: int
 
 
+def _zero_threshold(m: np.ndarray, tol_zero: float, scale: float | None) -> float:
+    """tol_zero times max(1, ref), where ref is ``scale`` or else ||A||_F."""
+    with np.errstate(over="ignore"):
+        ref = _require_finite(fro(m) if scale is None else scale, "the zero-threshold reference")
+    return tol_zero * max(1.0, ref)
+
+
+def _group_inverse_by_svd(
+    m: np.ndarray, tol_zero: float, tol_rank: float, scale: float | None, core_size: int | None
+):
+    """F (G F)^{-2} G from one SVD A = U S V^H, with F = U_r S_r and G = V_r^H,
+    or None where it cannot be sure to decide as ``_split`` would.
+
+    A sigma_max at or below the zero threshold bounds every eigenvalue
+    modulus, so A is all nilpotent and the inverse is zero.  Otherwise r
+    counts the singular values above tol_rank * sigma_max, as ``matrix_rank``
+    does, and the branch gives way when a dropped singular value is above
+    the zero threshold (r = 0 among them), when rank(A^2) != r (the index
+    loop's own test, or its ``core_size`` when the caller ran the loop), or
+    when |det(G F)|^{1/r}, a lower bound on the spectral radius, is at or
+    below the zero threshold."""
+    n = m.shape[0]
+    thresh = _zero_threshold(m, tol_zero, scale)
+    u, s, vh = np.linalg.svd(m)
+    if not n or _require_finite(s[0], "the largest singular value") <= thresh:
+        return np.zeros((n, n), dtype=complex)
+    r = int(np.count_nonzero(s > tol_rank * s[0]))
+    if r < n and s[r] > thresh:
+        return None
+    if r < n and (matrix_rank(m @ m, tol_rank) if core_size is None else core_size) != r:
+        return None
+    f = u[:, :r] * s[:r]
+    g = vh[:r]
+    gf = g @ f
+    if math.exp(np.linalg.slogdet(gf)[1] / r) <= thresh:
+        return None
+    return f @ np.linalg.solve(gf, np.linalg.solve(gf, g))
+
+
 def _split(m: np.ndarray, tol_zero: float, tol_rank: float, scale: float | None, core_size: int | None):
     """(Z, B, N, k, R) with Z unitary and A = Z [[I, R], [0, I]] (B ⊕ N) [[I, -R], [0, I]] Z^H,
     from one complex Schur form A = Z T Z^H.
@@ -116,9 +164,7 @@ def _split(m: np.ndarray, tol_zero: float, tol_rank: float, scale: float | None,
     import scipy.linalg  # here, not at the top: it would be most of `import lme`
 
     n = m.shape[0]
-    with np.errstate(over="ignore"):
-        ref = _require_finite(fro(m) if scale is None else scale, "the zero-threshold reference")
-    thresh = tol_zero * max(1.0, ref)
+    thresh = _zero_threshold(m, tol_zero, scale)
     t, z = scipy.linalg.schur(m, output="complex")
     moduli = np.abs(np.diag(t))
     if n and moduli.max() <= thresh:
@@ -180,16 +226,21 @@ def drazin(
     tol_rank: float = TOL_RANK,
     scale: float | None = None,
 ) -> np.ndarray:
-    """Drazin inverse from ``_split``, which runs the index loop unless A is
-    all nilpotent, inverting only the k×k core; ``scale`` is as in ``core_nilpotent``."""
-    return _inverse_of_split(*_split(require_square(as_matrix(a)), tol_zero, tol_rank, scale, None))
+    """Drazin inverse: the group inverse from one SVD where that branch
+    decides, else from ``_split``, which runs the index loop unless A is all
+    nilpotent, inverting only the k×k core; ``scale`` is as in ``core_nilpotent``."""
+    m = require_square(as_matrix(a))
+    x = _group_inverse_by_svd(m, tol_zero, tol_rank, scale, None)
+    return _inverse_of_split(*_split(m, tol_zero, tol_rank, scale, None)) if x is None else x
 
 
 def group_inverse(a, tol_rank: float = TOL_RANK, tol_zero: float = TOL_ZERO) -> np.ndarray:
     """Drazin inverse restricted to matrices of index at most one; the one
-    index loop rejects index > 1 and gives ``_split`` its core size."""
+    index loop rejects index > 1 and gives its core size to the branch of
+    ``drazin`` and, where that gives way, to ``_split``."""
     m = require_square(as_matrix(a))
     q, rank = _index_and_rank(m, tol_rank)
     if q > 1:
         raise IndexTooLargeError(f"matrix has index {q}, group inverse needs index <= 1")
-    return _inverse_of_split(*_split(m, tol_zero, tol_rank, None, rank))
+    x = _group_inverse_by_svd(m, tol_zero, tol_rank, None, rank)
+    return _inverse_of_split(*_split(m, tol_zero, tol_rank, None, rank)) if x is None else x

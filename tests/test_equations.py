@@ -147,6 +147,34 @@ class TestXHat:
         w = lme.coefficient_sum(spec)
         np.testing.assert_allclose(x_hat(spec), lme.moore_penrose(w) @ spec.rhs, atol=1e-8)
 
+    def test_never_reaches_the_schur_split(self, monkeypatch):
+        """Under the hypothesis the coefficient sum has index at most one, so
+        the SVD branch of ``drazin`` decides and scipy stays off the solve path."""
+        split_calls = []
+        original = lme.geninv._split
+
+        def spy(*args, **kwargs):
+            split_calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(lme.geninv, "_split", spy)
+        rng = np.random.default_rng(60)
+        specs = []
+        for n in (4, 8, 16, 32):
+            for k in (1, 2, 3):
+                specs.append(random_equation_instance(rng, n, k, zero_diag_rows=1)[0])
+                specs.append(random_equation_instance(rng, n, k, zero_diag_rows=2, inconsistent=True)[0])
+                specs.append(random_equation_instance(rng, n, k, zero_diag_rows=1, unitary=True)[0])
+            for kind in ("sylvester", "stein", "clyap", "dlyap"):
+                a, b, c = random_commuting_triple(rng, n, unitary=kind in ("clyap", "dlyap"))
+                specs.append(named_form_spec(kind, a, c, None if kind in ("clyap", "dlyap") else b))
+        singular = 0
+        for spec in specs:
+            x_hat(spec)
+            singular += lme.geninv.matrix_rank(lme.coefficient_sum(spec)) < spec.n
+        assert split_calls == []
+        assert singular >= len(specs) // 2  # the branch's rank-deficient path is exercised
+
 
 class TestSolve:
     def test_homogeneous_example(self):

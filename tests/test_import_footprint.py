@@ -1,8 +1,9 @@
 """Importing the package stays light: ``import lme`` is most of the start-up
 time of every command, so no scipy module rides along, and the CLI parser is
 built on the first ``main`` call, not at import.  scipy is loaded only by the
-Drazin candidate of the consistency evidence (``geninv.core_nilpotent``), so
-a process that only solves, compares or diagonalizes never pays for it."""
+core-nilpotent split of ``geninv`` (``core_nilpotent``, and a Drazin inverse
+of index two or more), so a process that solves, checks consistency, writes
+a CLI report, compares or diagonalizes never pays for it."""
 
 import os
 import subprocess
@@ -75,14 +76,44 @@ print(verify, diag)
     assert run_fresh(code, str(tmp_path)) == ["0", "0", "False"]
 
 
-def test_evidence_loads_scipy_linalg_with_the_same_result():
-    """The evidence imports scipy.linalg itself, and a process that imported
-    it first gets the same evidence, bit for bit."""
+def test_evidence_reports_and_group_inverse_load_no_scipy(tmp_path):
+    """``check_consistent``, ``lme solve``, the four named-form commands and
+    the group inverse of an index-1 matrix take the SVD branch of ``drazin``."""
+    code = INSTANCE + """
+import lme.cli
+from lme.instances import random_commuting_triple
+lme.check_consistent(spec)
+lme.group_inverse(np.diag([1.0, 2.0, 0.0]))
+codes = []
+def run(command, **mats):
+    argv = [command]
+    for name, m in mats.items():
+        argv += ["--" + name, f"{sys.argv[1]}/{command}_{name}.json"]
+        lme.cli.write_matrix(argv[-1], m)
+    codes.append(lme.cli.main(argv + ["--out", f"{sys.argv[1]}/{command}.json"]))
+run("solve", a=spec.a_list[0], b=spec.b_list[0], c=spec.rhs)
+a, b, c = random_commuting_triple(np.random.default_rng(8), 4, unitary=True)
+c = c + c.conj().T  # Hermitian, as the Lyapunov forms ask
+for command in ("sylvester", "stein"):
+    run(command, a=a, b=b, c=c)
+for command in ("clyap", "dlyap"):
+    run(command, a=a, c=c)
+print(all(code in (0, 3) for code in codes), len(codes))
+""" + LOADED
+    assert run_fresh(code, str(tmp_path)) == ["True", "5", "False"]
+
+
+def test_index_two_drazin_loads_scipy_linalg():
+    """The positive control: an index-2 matrix falls back to the Schur split."""
+    code = "import sys, numpy as np, lme\nlme.drazin(np.array([[0.0, 1.0], [0.0, 0.0]]))\n"
+    assert run_fresh(code + "print('scipy.linalg' in sys.modules)") == ["True"]
+
+
+def test_evidence_is_the_same_after_importing_scipy_linalg():
+    """A process that imported scipy.linalg first gets the same evidence,
+    bit for bit."""
     code = "import sys\nif sys.argv[1] == 'first':\n    import scipy.linalg\n" + INSTANCE + """
 evidence = lme.check_consistent(spec)
-print('scipy.linalg' in sys.modules, hashlib.sha256(pickle.dumps(evidence)).hexdigest())
+print(hashlib.sha256(pickle.dumps(evidence)).hexdigest())
 """
-    lazy = run_fresh(code, "lazy")
-    first = run_fresh(code, "first")
-    assert lazy[0] == "True"
-    assert lazy == first
+    assert run_fresh(code, "lazy") == run_fresh(code, "first")
