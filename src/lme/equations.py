@@ -38,7 +38,7 @@ from .errors import (
     NotHermitianRhsError,
     NotNormalError,
 )
-from .matcore import _commutes_within, as_matrix, commutes, fro, is_normal, require_square
+from .matcore import _normal_within, as_matrix, commutes, fro, is_normal, require_square
 from .simdiag import StarSequence, simultaneous_diagonalizer, validate_family
 from .tolerances import DEFAULT, TOL_ZERO, Tolerances
 
@@ -341,7 +341,9 @@ def solve(spec: EquationSpec, tol: Tolerances = DEFAULT) -> AffineSolutionSet:
 
     Each member is validated and normed once, by ``validate_family``; the
     normal certificate tests each member's commutation with its adjoint on
-    the norms the family keeps.
+    the norms the family keeps, after scaling a member of norm above 1 by a
+    power of two to norm [1, 2): the verdict is the unscaled test's, and a
+    normal member at entry scale 1e100 reads normal instead of overflowing.
     """
     if tol in spec._solved:
         return spec._solved[tol]
@@ -378,9 +380,9 @@ def solve(spec: EquationSpec, tol: Tolerances = DEFAULT) -> AffineSolutionSet:
         raise NonFiniteError("the candidate X̂ = S diag(c_r / gamma[r, r]) S^{-1} overflows")
     basis = FactoredBasis(s, s_inv, *np.nonzero(rel.zero_mask))
     certificate = None
-    # M is normal iff it commutes with M*, whose norm is M's own
+    # on members scaled to norm [1, 2), so that no residual overflows
     members = zip(family.members, family.norms)
-    if all(_commutes_within(m, m.conj().T, tol.commute, norm, norm) for m, norm in members):
+    if all(_normal_within(m, tol.commute, norm) for m, norm in members):
         certificate = not (rel.zero_mask & ~np.eye(spec.n, dtype=bool)).any()
     # rel's vectors are star.vectors themselves; S and S^{-1} are star's and basis's
     _freeze(x, s, s_inv, basis.rows, basis.cols, rel.gamma, rel.zero_mask, *star.vectors, *star.diagonals)

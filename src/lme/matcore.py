@@ -7,6 +7,7 @@ function validates its inputs and returns fresh arrays.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cmp_to_key
 
@@ -140,15 +141,24 @@ class EigenDecomposition:
 class JointEigenbasis:
     """A matrix S that diagonalizes every member of a family, with S^{-1}
     and the diagonals of S^{-1} M_j S, one per member.  Columns of S that
-    share an eigenvalue of the family's generic combination are orthonormal;
-    ``condition_estimate`` is the 1-norm condition number of S.  It keeps
-    nothing of its caller's: the member norms it was scaled by stay with
-    the caller (``CommutingFamily.norms``)."""
+    share an eigenvalue of the family's generic combination are orthonormal.
+
+    ``condition_estimate`` is the 1-norm condition number
+    ||S||_1 ||S^{-1}||_1, the figure the rcond floor is tested on.
+    ``off_diagonal_masses`` are the Frobenius norms of the off-diagonal
+    parts of S^{-1} M_j S, the figures the ``recon`` gate compared, one per
+    member.  ``condition_bound`` is the upper bound on the 2-norm condition
+    number kappa_2(S) from ``_condition_bound``, when a caller took one to
+    bound commutators (``validate_family`` does for three members or more),
+    else None.  It keeps nothing of its caller's: the member norms it was
+    scaled by stay with the caller (``CommutingFamily.norms``)."""
 
     diagonalizer: np.ndarray
     inverse: np.ndarray
     diagonals: tuple[np.ndarray, ...]
     condition_estimate: float
+    off_diagonal_masses: tuple[float, ...]
+    condition_bound: float | None = None
 
 
 def canonical_sort_indices(values: np.ndarray, gap: float) -> list[int]:
@@ -313,7 +323,7 @@ def _eigenbasis_of_mix(mats, seed: int, tol_recon: float, tol_cluster: float, no
     cond = float(np.linalg.norm(s, 1) * np.linalg.norm(s_inv, 1))
     if not cond * _RCOND_FLOOR < 1.0:
         raise NotDiagonalizableError(0, f"its eigenvector matrix has condition {cond:.3e}")
-    diagonals = []
+    diagonals, masses = [], []
     for i, (m, norm) in enumerate(zip(mats, norms)):
         d = s_inv @ m @ s
         diagonals.append(np.diag(d).copy())
@@ -321,7 +331,20 @@ def _eigenbasis_of_mix(mats, seed: int, tol_recon: float, tol_cluster: float, no
         off_mass = fro(d)
         if off_mass > tol_recon * max(1.0, norm):
             raise NotDiagonalizableError(i, f"off-diagonal mass {off_mass:.3e} in the eigenbasis")
-    return JointEigenbasis(s, s_inv, tuple(diagonals), cond)
+        masses.append(off_mass)
+    return JointEigenbasis(s, s_inv, tuple(diagonals), cond, tuple(masses))
+
+
+def _condition_bound(s: np.ndarray, s_inv: np.ndarray) -> float:
+    """An upper bound on kappa_2(S) = ||S||_2 ||S^{-1}||_2 from two
+    products: ||S||_2^2 is the largest eigenvalue of the Gram matrix S* S,
+    which Gershgorin bounds by its largest absolute row sum, and likewise
+    ||S^{-1}||_2^2 by that of S^{-1} S^{-*}.  Near-orthonormal columns give
+    a bound near the true kappa_2, where the 1-norm condition number grows
+    with the size."""
+    gram = s.conj().T @ s
+    gram_inv = s_inv @ s_inv.conj().T
+    return math.sqrt(np.linalg.norm(gram, np.inf) * np.linalg.norm(gram_inv, np.inf))
 
 
 def eig_decompose(m, tol: float = TOL_RECON, tol_cluster: float = TOL_CLUSTER) -> EigenDecomposition:
@@ -368,6 +391,20 @@ def is_normal(m, tol: float = TOL_COMMUTE) -> bool:
     a = require_square(as_matrix(m))
     norm = fro(a)
     return _commutes_within(a, a.conj().T, tol, norm, norm)
+
+
+def _normal_within(m: np.ndarray, tol: float, norm: float) -> bool:
+    """``is_normal``'s test on a validated square matrix of Frobenius norm
+    ``norm``, taken on M 2^-e, e = floor(log2 ||M||_F), when ||M||_F > 1.
+    Scaling by a power of two is exact, and so is every figure of the test
+    after it, scaled by 2^-2e, so the verdict is ``is_normal``'s wherever
+    that one's residual does not overflow; beyond, a normal M still passes,
+    where ``is_normal`` reads an infinite residual as not normal."""
+    if norm > 1.0:
+        e = math.frexp(norm)[1] - 1
+        m = m * math.ldexp(1.0, -e)
+        norm = math.ldexp(norm, -e)
+    return _commutes_within(m, m.conj().T, tol, norm, norm)
 
 
 def permutation_matrix(sigma: Permutation) -> np.ndarray:

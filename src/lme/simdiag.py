@@ -4,11 +4,14 @@ A family is diagonalized by one eigendecomposition: the eigenvectors of a
 generic linear combination sum_j mu_j M_j span the joint eigenspaces, the
 leaf blocks of the diagonalizer S (Y_1 ⊕ ... ⊕ Y_d) P.  ``validate_family``
 computes that joint eigenbasis once and checks that it diagonalizes every
-member.  The induced eigenvalue vectors are the diagonals of S^{-1} M_j S;
-sorting the columns lexicographically by each member's canonical eigenvalue
-rank makes them a star sequence: the first is a star vector and each later
-one is constant on the blocks of the refined partition, with distinct values
-across sibling blocks.
+member.  It reads pairwise commutation off the same basis: a pair whose
+commutator the basis bounds well below the ``commute`` tolerance forms no
+commutator, and only the pairs the bound leaves undecided take the exact
+product test.  The induced eigenvalue vectors are the diagonals of
+S^{-1} M_j S; sorting the columns lexicographically by each member's
+canonical eigenvalue rank makes them a star sequence: the first is a star
+vector and each later one is constant on the blocks of the refined
+partition, with distinct values across sibling blocks.
 
 The module also recovers, without computing any diagonalizer, a compatible
 ordering of the eigenvalues of two commuting matrices, by intersecting
@@ -18,7 +21,8 @@ eigenvalue multisets of shifted products.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from itertools import combinations
 
 import numpy as np
 
@@ -38,6 +42,7 @@ from .matcore import (
     Permutation,
     _clusters,
     _commutes_within,
+    _condition_bound,
     _joint_eigenbasis,
     as_matrix,
     canonical_sort_indices,
@@ -45,6 +50,17 @@ from .matcore import (
     require_square,
 )
 from .tolerances import DEFAULT, TOL_CLUSTER, Tolerances
+
+# Machine epsilon, twice the unit roundoff: the unit of the rounding slack
+# in the commutator bound.
+_EPS = float(np.finfo(float).eps)
+# A pair is accepted without its commutator only when the bound, rounding
+# slack included, is this many times below the exact test's threshold.
+_CERTIFY_MARGIN = 16.0
+# Above this product of two member norms the exact test's ||AB - BA||_F can
+# overflow even for a commuting pair: such a pair always takes the exact
+# test, and its NonFiniteError.
+_BOUND_NORM_LIMIT = 1e150
 
 __all__ = [
     "CommutingFamily",
@@ -131,9 +147,15 @@ def validate_family(members, tol: Tolerances = DEFAULT, names=None) -> Commuting
     eigensolve and its ``recon`` thresholds use them here; the cluster gaps
     of ``simultaneous_diagonalizer``, the off-diagonal test of
     ``induced_vectors`` and ``solve``'s normal certificate read them later.
-    The members are validated once too; the pairwise test runs on them as
-    they are.  Each commutator stays one pair of BLAS products: batched over
-    all pairs it was slower at n=128."""
+
+    The joint eigenbasis is computed first, and commutation is read off it:
+    a pair whose commutator it bounds well below ``tol.commute`` (see
+    ``_uncertified_pairs``) is accepted without forming the commutator, and
+    every other pair takes the exact test, ||AB - BA||_F against
+    ``tol.commute * max(1, ||A||_F ||B||_F)``, in pair order.  So the
+    verdict, the first failing pair and the error are those of the exact
+    test on every pair.  When the joint eigensolve fails, every pair takes
+    the exact test before the failure is diagnosed."""
     members = list(members)
     label = list(names) if names else [f"member {i}" for i in range(len(members))]
     mats = [require_square(as_matrix(m, label[i]), label[i]) for i, m in enumerate(members)]
@@ -148,19 +170,10 @@ def validate_family(members, tol: Tolerances = DEFAULT, names=None) -> Commuting
     # an overflow here is reported by the NonFiniteError below, not by numpy
     with np.errstate(over="ignore", invalid="ignore"):
         norms = [fro(m) for m in mats]
-        for i, norm in enumerate(norms):
-            if not math.isfinite(norm):
-                raise NonFiniteError(f"{label[i]} has a Frobenius norm that overflows")
-        for i in range(len(mats)):
-            for j in range(i + 1, len(mats)):
-                if not _commutes_within(mats[i], mats[j], tol.commute, norms[i], norms[j]):
-                    resid = fro(mats[i] @ mats[j] - mats[j] @ mats[i])
-                    if not math.isfinite(resid):
-                        raise NonFiniteError(
-                            f"the commutator of {label[i]} and {label[j]} overflows"
-                        )
-                    denom = max(1.0, norms[i] * norms[j])
-                    raise NotCommutingError(i, j, resid / denom, names and (label[i], label[j]))
+    for i, norm in enumerate(norms):
+        if not math.isfinite(norm):
+            raise NonFiniteError(f"{label[i]} has a Frobenius norm that overflows")
+    pairs = list(combinations(range(len(mats)), 2))
     # Group the combination's eigenvalues no wider than recon accepts: QR over
     # two values delta apart leaves off-diagonal mass ~ delta cot(theta).
     # simultaneous_diagonalizer merges near-equal values at tol.cluster.
@@ -168,6 +181,7 @@ def validate_family(members, tol: Tolerances = DEFAULT, names=None) -> Commuting
     try:
         basis = _joint_eigenbasis(mats, tol.recon, group_gap, norms)
     except NotDiagonalizableError as exc:
+        _check_pairs(mats, norms, pairs, tol.commute, label, names)
         for i, m in enumerate(mats):
             try:
                 _joint_eigenbasis([m], tol.recon, group_gap, norms[i:i + 1])
@@ -179,7 +193,62 @@ def validate_family(members, tol: Tolerances = DEFAULT, names=None) -> Commuting
             "the members are diagonalizable one by one but share no eigenbasis "
             f"within tolerance ({culprit}{exc.detail})"
         ) from exc
+    # the bound costs two products for the family, one exact test two per
+    # pair: with one pair there is nothing to gain
+    if len(pairs) > 1:
+        basis = replace(basis, condition_bound=_condition_bound(basis.diagonalizer, basis.inverse))
+        pairs = _uncertified_pairs(basis, norms, tol.commute)
+    _check_pairs(mats, norms, pairs, tol.commute, label, names)
     return CommutingFamily(tuple(mats), tol, basis, tuple(norms))
+
+
+def _check_pairs(mats, norms, pairs, tol_commute: float, label, names) -> None:
+    """The exact commutation test on each of ``pairs`` in turn: raise
+    NonFiniteError when the first failing pair's residual overflows, else
+    NotCommutingError for it."""
+    if not pairs:
+        return
+    # an overflow here is reported by the NonFiniteError below, not by numpy
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, j in pairs:
+            if not _commutes_within(mats[i], mats[j], tol_commute, norms[i], norms[j]):
+                resid = fro(mats[i] @ mats[j] - mats[j] @ mats[i])
+                if not math.isfinite(resid):
+                    raise NonFiniteError(f"the commutator of {label[i]} and {label[j]} overflows")
+                denom = max(1.0, norms[i] * norms[j])
+                raise NotCommutingError(i, j, resid / denom, names and (label[i], label[j]))
+
+
+def _uncertified_pairs(basis: JointEigenbasis, norms, tol_commute: float) -> list[tuple[int, int]]:
+    """The pairs (i, j), i < j in order, whose commutator the joint
+    eigenbasis does not bound below the exact test's threshold.
+
+    Split P_j = S^{-1} M_j S into its diagonal D_j and off-diagonal part F_j.
+    Diagonal matrices commute, so S^{-1} [M_i, M_j] S = [D_i, F_j] +
+    [F_i, D_j] + [F_i, F_j] and, in the style of Bauer and Fike,
+    ||[M_i, M_j]||_F <= kappa_2(S) 2 (rho_i f_j + rho_j f_i + f_i f_j),
+    with rho_j = max |diag D_j|, f_j = ||F_j||_F and kappa_2(S) the basis's
+    ``condition_bound``.  For the rounding in the computed P_j (two
+    products and S^{-1}), rho_j and f_j are widened by
+    4 sqrt(n) eps kappa^2 ||M_j||_F, a few times its typical size; for the
+    rounding in the exact test's own residual, at most about
+    n eps ||M_i||_F ||M_j||_F, (n + 2) eps ||M_i||_F ||M_j||_F is added.
+    A pair is certified when this bound is ``_CERTIFY_MARGIN`` times below
+    tol * max(1, ||M_i||_F ||M_j||_F), and never when ||M_i||_F ||M_j||_F
+    exceeds ``_BOUND_NORM_LIMIT``."""
+    n = basis.diagonalizer.shape[0]
+    kappa = basis.condition_bound
+    slack = [4.0 * math.sqrt(n) * _EPS * kappa * kappa * norm for norm in norms]
+    offs = [f + e for f, e in zip(basis.off_diagonal_masses, slack)]
+    radii = [float(np.abs(d).max()) + e for d, e in zip(basis.diagonals, slack)]
+    pairs = []
+    for i, j in combinations(range(len(norms)), 2):
+        scale = norms[i] * norms[j]
+        bound = 2.0 * kappa * (radii[i] * offs[j] + radii[j] * offs[i] + offs[i] * offs[j])
+        bound += (n + 2) * _EPS * scale
+        if not (scale <= _BOUND_NORM_LIMIT and _CERTIFY_MARGIN * bound <= tol_commute * max(1.0, scale)):
+            pairs.append((i, j))
+    return pairs
 
 
 def simultaneous_diagonalizer(family: CommutingFamily) -> StarSequence:

@@ -1,6 +1,7 @@
 import pickle
 import re
 import tracemalloc
+import warnings
 from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
@@ -42,6 +43,7 @@ from lme.errors import (
     RefinementFailureError,
 )
 from lme.instances import (
+    haar_unitary,
     random_commuting_triple,
     random_diagonalizer,
     random_equation_instance,
@@ -942,6 +944,16 @@ class TestNormalCertificate:
         off_zero = res.relevant.zero_mask & ~np.eye(n, dtype=bool)
         assert normal
         assert res.normal_certificate is (not off_zero.any())
+
+    def test_normal_family_at_entry_scale_1e100(self):
+        # the rounding residual of A A* - A* A is about 1e184, whose squared
+        # norm overflowed: the certificate read None, with numpy warnings
+        u = haar_unitary(np.random.default_rng(0), 3)
+        a = 1e100 * (u * np.array([1.0, 2.0, 3.0])) @ u.conj().T
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = solve(equation_spec([a], [I3], I3))
+        assert res.normal_certificate is True
 
     def test_all_offdiagonal_nonzero_solutions_normal(self):
         rng = np.random.default_rng(69)

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from lme.errors import DimensionMismatchError, EmptyListError, NonFiniteError, NonSquareError
 from lme.matcore import (
     Permutation,
+    _normal_within,
     as_matrix,
     canonical_sort_indices,
     cluster_means,
@@ -155,6 +156,33 @@ class TestNormalityIsCommutationWithTheAdjoint:
         if abs(resid - threshold) <= np.spacing(threshold):
             return
         assert verdicts[0] == verdicts[1]
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 5), exponent=st.floats(-150, 75),
+           kind=st.sampled_from(["normal", "near-normal", "non-normal"]),
+           nudge=st.sampled_from([1e-13, 1e-11, 1e-10, 1e-9, 1e-7]),
+           tol=st.sampled_from([1e-14, 1e-10, 1e-6]))
+    def test_scaled_test_decides_as_is_normal(self, seed, n, exponent, kind, nudge, tol):
+        # below entries of about 1e77 is_normal's residual stays finite, and
+        # scaling by a power of two moves every figure of the test exactly
+        rng = np.random.default_rng(seed)
+        scale = 10.0 ** exponent
+        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        if kind == "non-normal":
+            m = scale * g
+        else:
+            u = haar_unitary(rng, n)
+            lam = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            m = scale * ((u * lam) @ u.conj().T + (nudge * g if kind == "near-normal" else 0))
+        h = m.conj().T
+        assert np.isfinite(fro(m @ h - h @ m))
+        assert _normal_within(m, tol, fro(m)) == is_normal(m, tol)
+
+    def test_scaled_test_passes_a_normal_matrix_past_the_overflow(self):
+        u = haar_unitary(np.random.default_rng(0), 3)
+        m = 1e100 * (u * np.array([1.0, 2.0, 3.0])) @ u.conj().T
+        assert _normal_within(m, 1e-10, fro(m))
+        assert not _normal_within(1e100 * JORDAN, 1e-10, fro(1e100 * JORDAN))
 
     def test_normal_iff_commutes_with_adjoint(self):
         rng = np.random.default_rng(4)

@@ -1026,6 +1026,113 @@ class TestLeanPassAgainstReference:
         assert sorted(shape[0] for shape in shapes) == [1, 2, 2]
 
 
+def family_outcome(validate, members):
+    """What a validation of ``members`` decides: accepted, the first pair
+    that fails to commute with the error's text, or no joint eigenbasis
+    (``validate_family`` goes on to diagnose that case, the reference does
+    not)."""
+    try:
+        validate(members)
+    except NotCommutingError as exc:
+        return "not commuting", exc.i, exc.j, str(exc)
+    except (NotDiagonalizableError, RefinementFailureError):
+        return "no joint eigenbasis"
+    return "accepted"
+
+
+def commutator_pairs(monkeypatch, members):
+    """Spy on the exact commutator test: the (i, j) of each pair it runs on,
+    by the identity of the members' arrays."""
+    seen = []
+    original = lme.simdiag._commutes_within
+
+    def spy(a, b, *args):
+        seen.append((next(k for k, m in enumerate(members) if m is a),
+                     next(k for k, m in enumerate(members) if m is b)))
+        return original(a, b, *args)
+
+    monkeypatch.setattr(lme.simdiag, "_commutes_within", spy)
+    return seen
+
+
+class TestCommutationFromTheEigenbasis:
+    """validate_family bounds each pair's commutator from the joint
+    eigenbasis and runs the exact test only on pairs the bound leaves
+    undecided, with the verdicts and errors of the exact test on every pair."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), sizes=group_sizes(max_n=24), count=st.integers(2, 9),
+           log_spread=st.floats(0.0, 4.0), log_scale=st.floats(-6.0, 6.0),
+           log_nudge=st.floats(-14.0, -6.0), data=st.data())
+    def test_same_verdicts_as_the_reference_near_the_threshold(
+            self, seed, sizes, count, log_spread, log_scale, log_nudge, data):
+        # one member moved by 1e-14 to 1e-6 of its norm: the commutators of
+        # its pairs fall on both sides of tol.commute = 1e-10, and its joint
+        # eigenbasis on both sides of recon
+        members = grouped_family(seed, sizes, count, 10.0 ** log_spread, 10.0 ** log_scale)
+        which = data.draw(st.integers(0, count - 1))
+        rng = np.random.default_rng([seed, 1])
+        n = sum(sizes)
+        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        members[which] = members[which] + 10.0 ** log_nudge * fro(members[which]) / fro(g) * g
+        want = family_outcome(reference_validate_family, members)
+        assert family_outcome(validate_family, members) == want
+        if want == "accepted":
+            s, s_inv, diagonals, _ = reference_validate_family(members)
+            basis = validate_family(members).eigenbasis
+            assert raw_bytes(basis.diagonalizer) == raw_bytes(s)
+            assert raw_bytes(basis.inverse) == raw_bytes(s_inv)
+            assert [raw_bytes(d) for d in basis.diagonals] == [raw_bytes(d) for d in diagonals]
+
+    def test_no_commutator_on_a_well_conditioned_family(self, monkeypatch):
+        rng = np.random.default_rng([64, 7])
+        sizes = []
+        while sum(sizes) < 64:
+            sizes.append(min(int(rng.integers(1, 5)), 64 - sum(sizes)))
+        members = grouped_family(7, sizes, 7, 2.0)
+        seen = commutator_pairs(monkeypatch, members)
+        family = validate_family(members)
+        assert seen == []
+        assert family.eigenbasis.condition_bound is not None
+
+    def test_only_uncertified_pairs_take_the_exact_test(self, monkeypatch):
+        # members 0, 1 and 4 take one value on indices 0 and 1; members 2 and
+        # 3 two.  The coupling 1e-9 between them in member 2 passes recon but
+        # not commute against member 3, and leaves off-diagonal mass on
+        # members 2 and 3 alone, so only their pairs take the exact test
+        rng = np.random.default_rng(3)
+        s = random_diagonalizer(rng, 6)
+        s_inv = np.linalg.inv(s)
+        diagonals = [[1, 1, 2, 3, 4, 5], [2, 2, 0, 1, 1, 3], [1, 2, 0, 0, 3, 1],
+                     [4, -1, 2, 2, 0, 1], [0, 0, 1, 2, 1, 2]]
+        cores = [np.diag(np.array(d, dtype=complex)) for d in diagonals]
+        cores[2][0, 1] = 1e-9
+        members = [s @ core @ s_inv for core in cores]
+        with pytest.raises(NotCommutingError) as want:
+            reference_validate_family(members)
+        seen = commutator_pairs(monkeypatch, members)
+        with pytest.raises(NotCommutingError) as got:
+            validate_family(members)
+        assert seen == [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+        assert (got.value.i, got.value.j) == (want.value.i, want.value.j) == (2, 3)
+        assert str(got.value) == str(want.value)
+
+    def test_the_basis_keeps_the_figures_of_the_check(self):
+        members = grouped_family(5, [2, 1, 3, 1, 1], 3, 100.0)
+        basis = validate_family(members).eigenbasis
+        s, s_inv = basis.diagonalizer, basis.inverse
+        for m, d, mass in zip(members, basis.diagonals, basis.off_diagonal_masses):
+            p = s_inv @ m @ s
+            assert raw_bytes(np.diag(p)) == raw_bytes(d)
+            np.fill_diagonal(p, 0)
+            assert mass == fro(p)
+        assert basis.condition_bound >= np.linalg.cond(s, 2)
+        assert basis.condition_estimate == np.linalg.norm(s, 1) * np.linalg.norm(s_inv, 1)
+        # with one pair or none the exact test is as cheap as the bound
+        assert validate_family(members[:2]).eigenbasis.condition_bound is None
+        assert validate_family(members[:1]).eigenbasis.condition_bound is None
+
+
 class TestFamilyNorms:
     """The family owns its member norms; the joint eigenbasis keeps none."""
 
@@ -1045,6 +1152,7 @@ class TestFamilyNorms:
     def test_joint_eigenbasis_keeps_no_caller_data(self):
         assert [f.name for f in fields(JointEigenbasis)] == [
             "diagonalizer", "inverse", "diagonals", "condition_estimate",
+            "off_diagonal_masses", "condition_bound",
         ]
         assert not hasattr(validate_family([HOMOG_A]).eigenbasis, "_norms")
 

@@ -25,8 +25,8 @@ SPIED = {
     (matcore, "cluster_values"): {"gap": "cluster"},
     (simdiag, "_clusters"): {"gap": "cluster"},
     (simdiag, "_joint_eigenbasis"): {"tol_recon": "recon", "tol_cluster": "cluster"},
-    (simdiag, "_commutes_within"): {"tol": "commute"},
-    (equations, "_commutes_within"): {"tol": "commute"},
+    (simdiag, "_uncertified_pairs"): {"tol_commute": "commute"},
+    (equations, "_normal_within"): {"tol": "commute"},
     (equations, "relevant_matrix"): {"tol_zero": "zero"},
     (geninv, "drazin"): {"tol_zero": "zero", "tol_rank": "rank"},
     (geninv, "matrix_rank"): {"tol_rank": "rank"},
