@@ -517,12 +517,15 @@ def solve_standard(spec: EquationSpec, tol: Tolerances = DEFAULT) -> AffineSolut
 def named_form_spec(kind: str, a, c, b=None) -> EquationSpec:
     """The general-form data of a named equation: sylvester A X + X B = C,
     stein A X B - X = C, clyap A* X + X A = C and dlyap A* X A - X = C.
-    Only the Lyapunov forms take no B.  No hypothesis is checked here;
+    Only the Lyapunov forms take no B; sylvester and stein without one raise
+    ``DimensionMismatchError``.  No hypothesis is checked here;
     ``lyapunov_gate`` checks the Lyapunov preconditions."""
     a = require_square(as_matrix(a, "A"), "A")
     if kind in ("clyap", "dlyap"):
         a, b = a.conj().T, a
     elif kind in ("sylvester", "stein"):
+        if b is None:
+            raise DimensionMismatchError(f"{kind} needs B")
         b = require_square(as_matrix(b, "B"), "B")
     else:
         raise ValueError(f"unknown named form {kind!r}")

@@ -1,18 +1,16 @@
 """Generalized inverses: Moore-Penrose, Drazin, group inverse, matrix index.
 
-``drazin`` and ``group_inverse`` first try the group inverse from one SVD,
-A = U S V^H: with the full-rank factors F = U_r S_r and G = V_r^H,
-A^# = F (G F)^{-2} G (Cline 1968).  It serves every matrix of index at most
-one whose decisions it can make as the split below would, which covers the
-coefficient sums of commuting diagonalizable families, and gives way to the
-split otherwise.
-
-One core-nilpotent split feeds ``core_nilpotent`` and the other inputs of
-``drazin`` and ``group_inverse``: a complex Schur form reordered by LAPACK
-``trsen``, and a triangular Sylvester solve by LAPACK ``trsyl``.  ``drazin``
-inverts only the core block.  ``group_inverse`` runs the index loop itself
-and hands its rank to the branch and the split; the split runs the loop for
-the others unless A is all nilpotent.
+``drazin`` and ``group_inverse`` run the index loop first, the only code
+that forms powers of A.  It takes the full SVD A = U S V^H and counts
+rank(A) from it as ``matrix_rank`` does.  At index at most one the group
+inverse is read off that SVD: with F = U_r S_r and G = V_r^H,
+A^# = F (G F)^{-2} G (Cline 1968), which covers the coefficient sums of
+commuting diagonalizable families.  At index two or more, or where Cline
+gives way, the core-nilpotent split runs with the loop's core size: one
+complex Schur form reordered by LAPACK ``trsen`` and a triangular Sylvester
+solve by LAPACK ``trsyl``, of which ``drazin`` inverts only the core block.
+``core_nilpotent`` runs the split alone, and the loop, from the singular
+values of A, only when A is not all nilpotent.
 
 The split is the package's only use of scipy and imports ``scipy.linalg``
 when it first runs.  Importing lme, solving, ``check_consistent``, the CLI's
@@ -55,8 +53,7 @@ def moore_penrose(a, tol_rank: float = TOL_RANK) -> np.ndarray:
     if m.size == 0:
         return np.zeros((m.shape[1], m.shape[0]), dtype=complex)
     u, s, vh = np.linalg.svd(m)
-    cut = tol_rank * _require_finite(s[0], "the largest singular value")
-    r = int(np.count_nonzero(s > cut))  # r = 0 gives the zero matrix
+    r = _count_rank(s, tol_rank)  # r = 0 gives the zero matrix
     return vh[:r].conj().T @ ((u[:, :r].conj().T) / s[:r, None])
 
 
@@ -64,12 +61,15 @@ def matrix_rank(a, tol_rank: float = TOL_RANK, scale: float | None = None) -> in
     """Numerical rank: singular values above tol_rank * scale, where scale
     defaults to the largest singular value of ``a`` itself."""
     m = as_matrix(a)
-    if m.size == 0:
+    return _count_rank(np.linalg.svd(m, compute_uv=False), tol_rank, scale) if m.size else 0
+
+
+def _count_rank(s: np.ndarray, tol_rank: float, scale: float | None = None) -> int:
+    """The count of ``matrix_rank`` from the descending singular values ``s``."""
+    if not s.size:
         return 0
-    s = np.linalg.svd(m, compute_uv=False)
     _require_finite(s[0], "the largest singular value")
-    ref = s[0] if scale is None else scale
-    return int(np.count_nonzero(s > tol_rank * ref))
+    return int(np.count_nonzero(s > tol_rank * (s[0] if scale is None else scale)))
 
 
 def _require_finite(value: float, what: str) -> float:
@@ -82,24 +82,22 @@ def _require_finite(value: float, what: str) -> float:
 
 def index(a, tol_rank: float = TOL_RANK) -> int:
     """Least q >= 0 with rank(A^{q+1}) = rank(A^q)."""
-    return _index_and_rank(require_square(as_matrix(a)), tol_rank)[0]
+    m = require_square(as_matrix(a))
+    return _index_loop(m, tol_rank, np.linalg.svd(m, compute_uv=False))[0]
 
 
-def _index_and_rank(m: np.ndarray, tol_rank: float) -> tuple[int, int]:
-    """``index`` of a validated square matrix together with rank(A^index),
-    which its loop has computed on the way."""
+def _index_loop(m: np.ndarray, tol_rank: float, s: np.ndarray) -> tuple[int, int]:
+    """(q, rank(A^q)) for the ``index`` q of a validated square matrix: the
+    rank of A is counted from its singular values ``s``, that of each further
+    power by ``matrix_rank``.  The only code that forms powers of A."""
     n = m.shape[0]
-    prev = n  # rank of A^0
-    power = np.eye(n, dtype=complex)
-    for q in range(n + 1):
+    q, prev, rank, power = 0, n, _count_rank(s, tol_rank), m
+    while rank != prev and q < n:
         # an overflowing power is reported by matrix_rank's NonFiniteError
         with np.errstate(over="ignore", invalid="ignore"):
             power = power @ m
-        r = matrix_rank(power, tol_rank)
-        if r == prev:
-            return q, prev
-        prev = r
-    return n, prev
+        q, prev, rank = q + 1, rank, matrix_rank(power, tol_rank)
+    return q, rank
 
 
 @dataclass(frozen=True)
@@ -119,29 +117,13 @@ def _zero_threshold(m: np.ndarray, tol_zero: float, scale: float | None) -> floa
     return tol_zero * max(1.0, ref)
 
 
-def _group_inverse_by_svd(
-    m: np.ndarray, tol_zero: float, tol_rank: float, scale: float | None, core_size: int | None
-):
-    """F (G F)^{-2} G from one SVD A = U S V^H, with F = U_r S_r and G = V_r^H,
-    or None where it cannot be sure to decide as ``_split`` would.
-
-    A sigma_max at or below the zero threshold bounds every eigenvalue
-    modulus, so A is all nilpotent and the inverse is zero.  Otherwise r
-    counts the singular values above tol_rank * sigma_max, as ``matrix_rank``
-    does, and the branch gives way when a dropped singular value is above
-    the zero threshold (r = 0 among them), when rank(A^2) != r (the index
-    loop's own test, or its ``core_size`` when the caller ran the loop), or
-    when |det(G F)|^{1/r}, a lower bound on the spectral radius, is at or
-    below the zero threshold."""
-    n = m.shape[0]
-    thresh = _zero_threshold(m, tol_zero, scale)
-    u, s, vh = np.linalg.svd(m)
-    if not n or _require_finite(s[0], "the largest singular value") <= thresh:
-        return np.zeros((n, n), dtype=complex)
-    r = int(np.count_nonzero(s > tol_rank * s[0]))
-    if r < n and s[r] > thresh:
-        return None
-    if r < n and (matrix_rank(m @ m, tol_rank) if core_size is None else core_size) != r:
+def _group_inverse_by_svd(u: np.ndarray, s: np.ndarray, vh: np.ndarray, r: int, thresh: float):
+    """F (G F)^{-2} G with F = U_r S_r and G = V_r^H, from the SVD A = U S V^H
+    of a matrix of index at most one and rank r, or None where it cannot be
+    sure to decide as ``_split`` would: when a dropped singular value is
+    above the zero threshold ``thresh`` (r = 0 among them), or when
+    |det(G F)|^{1/r}, a lower bound on the spectral radius, is at or below it."""
+    if r < s.size and s[r] > thresh:
         return None
     f = u[:, :r] * s[:r]
     g = vh[:r]
@@ -151,26 +133,25 @@ def _group_inverse_by_svd(
     return f @ np.linalg.solve(gf, np.linalg.solve(gf, g))
 
 
-def _split(m: np.ndarray, tol_zero: float, tol_rank: float, scale: float | None, core_size: int | None):
+def _split(m: np.ndarray, thresh: float, tol_rank: float, core_size: int | None):
     """(Z, B, N, k, R) with Z unitary and A = Z [[I, R], [0, I]] (B ⊕ N) [[I, -R], [0, I]] Z^H,
     from one complex Schur form A = Z T Z^H.
 
-    k is 0 when every |T_ii| is below the zero threshold, else rank(A^index)
-    from the index loop or the caller's ``core_size``.  A cutoff in the gap
-    of diag(T) picks the k core eigenvalues for ``ztrsen`` (a defective zero
-    cluster of size q scatters to about eps^(1/q), past a plain threshold),
-    and ``ztrsyl`` solves B R - R N = -T12.  Nilpotent diagonal entries below
-    the threshold are zeroed, so exact inputs give exactly nilpotent blocks."""
+    k is 0 when every |T_ii| is at or below the zero threshold ``thresh``,
+    else ``core_size`` or, with none given, rank(A^index) from the index
+    loop.  A cutoff in the gap of diag(T) picks the k core eigenvalues for
+    ``ztrsen`` (a defective zero cluster of size q scatters to about
+    eps^(1/q), past a plain threshold), and ``ztrsyl`` solves
+    B R - R N = -T12.  Nilpotent diagonal entries at or below the threshold
+    are zeroed, so exact inputs give exactly nilpotent blocks."""
     import scipy.linalg  # here, not at the top: it would be most of `import lme`
 
     n = m.shape[0]
-    thresh = _zero_threshold(m, tol_zero, scale)
     t, z = scipy.linalg.schur(m, output="complex")
     moduli = np.abs(np.diag(t))
     if n and moduli.max() <= thresh:
-        k = 0  # all nilpotent; no rank test needed
-    else:
-        k = _index_and_rank(m, tol_rank)[1] if core_size is None else core_size
+        core_size = 0  # all nilpotent; no rank test needed
+    k = _index_loop(m, tol_rank, np.linalg.svd(m, compute_uv=False))[1] if core_size is None else core_size
     if 0 < k < n:
         hi, lo = np.sort(moduli)[::-1][k - 1 : k + 1]
         if hi > 2.0 * lo:
@@ -207,7 +188,8 @@ def core_nilpotent(
     uncancelled inputs, so a noise-level matrix is split as all-nilpotent
     rather than inverted.  An overflowing Frobenius norm or a ``scale`` that
     is not finite raises ``NonFiniteError``."""
-    z, core, nil, k, r = _split(require_square(as_matrix(a)), tol_zero, tol_rank, scale, None)
+    m = require_square(as_matrix(a))
+    z, core, nil, k, r = _split(m, _zero_threshold(m, tol_zero, scale), tol_rank, None)
     if r.any():
         upper = np.eye(z.shape[0], dtype=complex)
         upper[:k, k:] = r
@@ -220,27 +202,38 @@ def _inverse_of_split(z, core, _, k, r) -> np.ndarray:
     return z[:, :k] @ np.linalg.solve(core, z[:, :k].conj().T - r @ z[:, k:].conj().T)
 
 
+def _drazin(m: np.ndarray, tol_zero: float, tol_rank: float, scale: float | None, group: bool) -> np.ndarray:
+    """``drazin``, or with ``group`` ``group_inverse``, of a validated square
+    matrix.  A sigma_max at or below the zero threshold bounds every
+    eigenvalue modulus, so the inverse is zero: ``group`` rejects index > 1
+    first, the Drazin inverse decides this before any power of A."""
+    n = m.shape[0]
+    u, s, vh = np.linalg.svd(m)
+    loop = _index_loop(m, tol_rank, s) if group else None
+    if loop and loop[0] > 1:
+        raise IndexTooLargeError(f"matrix has index {loop[0]}, group inverse needs index <= 1")
+    thresh = _zero_threshold(m, tol_zero, scale)
+    if not n or _require_finite(s[0], "the largest singular value") <= thresh:
+        return np.zeros((n, n), dtype=complex)
+    q, k = loop or _index_loop(m, tol_rank, s)
+    x = _group_inverse_by_svd(u, s, vh, k, thresh) if q <= 1 else None
+    return _inverse_of_split(*_split(m, thresh, tol_rank, k)) if x is None else x
+
+
 def drazin(
     a,
     tol_zero: float = TOL_ZERO,
     tol_rank: float = TOL_RANK,
     scale: float | None = None,
 ) -> np.ndarray:
-    """Drazin inverse: the group inverse from one SVD where that branch
-    decides, else from ``_split``, which runs the index loop unless A is all
-    nilpotent, inverting only the k×k core; ``scale`` is as in ``core_nilpotent``."""
-    m = require_square(as_matrix(a))
-    x = _group_inverse_by_svd(m, tol_zero, tol_rank, scale, None)
-    return _inverse_of_split(*_split(m, tol_zero, tol_rank, scale, None)) if x is None else x
+    """Drazin inverse: the index loop, then Cline's formula from the loop's
+    SVD at index <= 1, or else ``_split`` with the loop's core size, which
+    inverts only the k×k core; ``scale`` is as in ``core_nilpotent``."""
+    return _drazin(require_square(as_matrix(a)), tol_zero, tol_rank, scale, False)
 
 
 def group_inverse(a, tol_rank: float = TOL_RANK, tol_zero: float = TOL_ZERO) -> np.ndarray:
-    """Drazin inverse restricted to matrices of index at most one; the one
-    index loop rejects index > 1 and gives its core size to the branch of
-    ``drazin`` and, where that gives way, to ``_split``."""
-    m = require_square(as_matrix(a))
-    q, rank = _index_and_rank(m, tol_rank)
-    if q > 1:
-        raise IndexTooLargeError(f"matrix has index {q}, group inverse needs index <= 1")
-    x = _group_inverse_by_svd(m, tol_zero, tol_rank, None, rank)
-    return _inverse_of_split(*_split(m, tol_zero, tol_rank, None, rank)) if x is None else x
+    """Drazin inverse restricted to matrices of index at most one: as
+    ``drazin``, but the index loop runs to its end first and index > 1
+    raises ``IndexTooLargeError``, even for an A below the zero threshold."""
+    return _drazin(require_square(as_matrix(a)), tol_zero, tol_rank, None, True)

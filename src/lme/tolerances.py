@@ -16,6 +16,7 @@ Primitives on plain arrays (``matcore``, ``geninv``, ``relevant_matrix``,
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 TOL_RECON = 1e-8     # off-diagonal mass of S^{-1} M S in an eigenbasis
@@ -28,12 +29,12 @@ TOL_RANK = 1e-10     # singular-value threshold for numerical rank
 
 @dataclass(frozen=True)
 class Tolerances:
-    """The six thresholds of one run, each a finite float >= 0 (anything
-    else raises ``ValueError`` naming the field).  The defaults are the
-    ``TOL_*`` constants, whose comments name the decisions each one makes;
-    besides, ``validate_family`` groups the eigenvalues of its eigensolve at
-    no more than ``recon``, and ``induced_vectors`` checks a supplied
-    diagonalizer at ``commute``."""
+    """The six thresholds of one run, each a finite real number >= 0
+    (anything else, None or a string too, raises ``ValueError`` naming the
+    field).  The defaults are the ``TOL_*`` constants, whose comments name
+    the decisions each one makes; besides, ``validate_family`` groups the
+    eigenvalues of its eigensolve at no more than ``recon``, and
+    ``induced_vectors`` checks a supplied diagonalizer at ``commute``."""
 
     recon: float = TOL_RECON
     commute: float = TOL_COMMUTE
@@ -44,7 +45,7 @@ class Tolerances:
 
     def __post_init__(self):
         for name, value in vars(self).items():
-            if not 0 <= value < math.inf:
+            if not (isinstance(value, numbers.Real) and 0 <= value < math.inf):
                 raise ValueError(f"{name} must be a finite float >= 0, got {value!r}")
 
 

@@ -979,8 +979,20 @@ def test_standard_spec_shape():
         (lambda: relevant_matrix([], [], np.ones(2)), DimensionMismatchError, "^need matching, non-empty"),
         (lambda: named_form_spec("foo", I2, I2), ValueError, "^unknown named form 'foo'$"),
         (lambda: lyapunov_gate(I2, I3), DimensionMismatchError, r"^shapes differ: \(2, 2\) vs \(3, 3\)$"),
+        (lambda: lme.solve_sylvester(I2, None, I2), DimensionMismatchError, "^sylvester needs B$"),
+        (lambda: lme.solve_stein(I2, None, I2), DimensionMismatchError, "^stein needs B$"),
+        (lambda: lme.named_form_pair_count("sylvester", I2), DimensionMismatchError, "^sylvester needs B$"),
     ],
-    ids=["no-terms", "unmatched-vectors", "no-vectors", "unknown-form", "lyapunov-sizes"],
+    ids=[
+        "no-terms",
+        "unmatched-vectors",
+        "no-vectors",
+        "unknown-form",
+        "lyapunov-sizes",
+        "sylvester-without-b",
+        "stein-without-b",
+        "pair-count-without-b",
+    ],
 )
 def test_rejections(call, error, message):
     with pytest.raises(error, match=message):

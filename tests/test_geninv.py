@@ -1,17 +1,22 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lme.geninv
 from lme.equations import coefficient_sum
 from lme.errors import IndexTooLargeError, NonFiniteError, NonSquareError
 from lme.geninv import (
     CoreNilpotentDecomposition,
     _group_inverse_by_svd,
-    _index_and_rank,
+    _index_loop,
     _inverse_of_split,
+    _require_finite,
     _split,
+    _zero_threshold,
     core_nilpotent,
     drazin,
     group_inverse,
@@ -42,6 +47,20 @@ def rand_complex(rng, shape):
 
 def rank_deficient(rng, n, r):
     return rand_complex(rng, (n, r)) @ rand_complex(rng, (r, n))
+
+
+def spy(monkeypatch, *targets):
+    """Counts of calls, by name, to each (module, name) in ``targets``."""
+    calls = dict.fromkeys((name for _, name in targets), 0)
+    for module, name in targets:
+        original = getattr(module, name)
+
+        def wrapper(*args, _original=original, _name=name, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+    return calls
 
 
 class TestScalarDagger:
@@ -239,19 +258,11 @@ class TestGroupInverse:
         np.testing.assert_allclose(group_inverse(a, tol_rank=1e-12), np.diag([1.0, 1e11]), rtol=1e-12)
 
     def test_one_index_loop_and_no_schur_form(self, monkeypatch):
-        calls = {"svd": 0, "schur": 0}
-        for module, name in ((np.linalg, "svd"), (scipy.linalg, "schur")):
-            original = getattr(module, name)
-
-            def wrapper(*args, _original=original, _name=name, **kwargs):
-                calls[_name] += 1
-                return _original(*args, **kwargs)
-
-            monkeypatch.setattr(module, name, wrapper)
+        calls = spy(monkeypatch, (np.linalg, "svd"), (scipy.linalg, "schur"))
         group_inverse(np.diag([1.0, 2.0, 0.0]))
-        # the loop ranks A and A^2 and the branch factors A once; a second
-        # loop, in the branch or in the split, would add SVDs
-        assert calls == {"svd": 3, "schur": 0}
+        # the loop factors A, which Cline's formula reuses, and ranks A^2; a
+        # second loop, or a second factorization of A, would add SVDs
+        assert calls == {"svd": 2, "schur": 0}
 
     def test_bitwise_the_drazin_inverse_at_index_at_most_one(self):
         rng = np.random.default_rng(27)
@@ -332,7 +343,7 @@ def reference_core_nilpotent(a, tol_zero=TOL_ZERO, tol_rank=TOL_RANK, scale=None
     if n and np.max(np.abs(eigs)) <= thresh:
         core_size = 0
     else:
-        core_size = _index_and_rank(m, tol_rank)[1]
+        core_size = branch_first_index_and_rank(m, tol_rank)[1]
     if core_size in (0, n):
         t, z = scipy.linalg.schur(m, output="complex")
         k = core_size
@@ -407,7 +418,7 @@ class TestOneSchurFormAgainstReference:
 
     def test_no_gap_branch(self):
         m = no_gap_input().astype(complex)
-        k = _index_and_rank(m, 0.7)[1]
+        k = _index_loop(m, 0.7, np.linalg.svd(m, compute_uv=False))[1]
         moduli = np.sort(np.abs(np.linalg.eigvals(m)))[::-1]
         assert k == 1 and moduli[0] <= 2.0 * moduli[1]  # the branch is reached
         assert core_nilpotent(m, tol_rank=0.7).core_size == 2
@@ -545,7 +556,7 @@ class TestDrazinUnderConditioning:
 
 def schur_drazin(m, tol_rank=TOL_RANK):
     """The Drazin inverse from the core-nilpotent split alone."""
-    return _inverse_of_split(*_split(m, TOL_ZERO, tol_rank, None, None))
+    return _inverse_of_split(*_split(m, _zero_threshold(m, TOL_ZERO, None), tol_rank, None))
 
 
 def planted_group(seed, n, core_size, log_cond, log_scale):
@@ -558,14 +569,26 @@ def planted_group(seed, n, core_size, log_cond, log_scale):
     return 10.0**log_scale * (s @ np.diag(lam) @ np.linalg.inv(s)), np.linalg.cond(s)
 
 
-# Relative gap between the SVD branch and the split, per cond(S)^2: both
+# Relative gap between Cline's formula and the split, per cond(S)^2: both
 # err by about eps * cond(S)^2, and the largest ratio seen in 4000 draws
 # was 4.6e-15, 20 times below this bound.
 BRANCH_GAP = 1e-13
 
 
+def cline_or_none(a, tol_rank):
+    """What ``drazin`` takes from Cline's formula: zero for an A at or below
+    the zero threshold, else the index loop on the SVD of A, then
+    ``_group_inverse_by_svd`` at index <= 1 and None at index >= 2."""
+    u, s, vh = np.linalg.svd(a)
+    thresh = _zero_threshold(a, TOL_ZERO, None)
+    if not a.size or s[0] <= thresh:
+        return np.zeros(a.shape, dtype=complex)
+    q, k = _index_loop(a, tol_rank, s)
+    return _group_inverse_by_svd(u, s, vh, k, thresh) if q <= 1 else None
+
+
 class TestGroupInverseBySvd:
-    """The SVD branch of ``drazin`` either gives way or agrees with the split."""
+    """Cline's formula in ``drazin`` either gives way or agrees with the split."""
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -578,7 +601,7 @@ class TestGroupInverseBySvd:
     def test_gives_way_or_agrees_with_the_split(self, sizes, log_cond, log_scale, tol_rank, seed):
         n, core_size = sizes
         a, cond = planted_group(seed, n, core_size, log_cond, log_scale)
-        got = _group_inverse_by_svd(a, TOL_ZERO, tol_rank, None, None)
+        got = cline_or_none(a, tol_rank)
         if got is None:
             return
         want = schur_drazin(a, tol_rank)
@@ -589,10 +612,142 @@ class TestGroupInverseBySvd:
     @given(indexed_matrices(st.integers(2, 3)))
     def test_index_two_and_three_take_the_split(self, drawn):
         _, _, a = drawn
-        assert _group_inverse_by_svd(a, TOL_ZERO, TOL_RANK, None, None) is None
+        assert cline_or_none(a, TOL_RANK) is None
         assert np.array_equal(drazin(a), schur_drazin(a))
 
-    def test_all_nilpotent_below_the_zero_threshold(self):
+    def test_all_nilpotent_below_the_zero_threshold(self, monkeypatch):
+        def no_loop(*args):
+            raise AssertionError("the index loop ran")
+
+        monkeypatch.setattr(lme.geninv, "_index_loop", no_loop)
         for m in (np.zeros((3, 3), dtype=complex), 1e-12 * NILP, np.zeros((0, 0), dtype=complex)):
-            got = _group_inverse_by_svd(m, TOL_ZERO, TOL_RANK, None, None)
+            got = drazin(m)
             assert got.shape == m.shape and got.dtype == complex and not got.any()
+
+
+class TestOrderOfDecisions:
+    """The zero shortcut of ``drazin`` comes before any power of A, the index
+    check of ``group_inverse`` before the zero shortcut, and one index loop
+    serves Cline's formula and the split."""
+
+    def test_drazin_zero_shortcut_precedes_any_power(self):
+        # A^2 would overflow; A is below the zero threshold of its scale
+        got = drazin(1e160 * np.diag([1.0, 0.0]), scale=1e175)
+        assert got.shape == (2, 2) and not got.any()
+
+    def test_group_inverse_index_check_precedes_the_zero_shortcut(self):
+        with pytest.raises(IndexTooLargeError, match="^matrix has index 2, group inverse needs index <= 1$"):
+            group_inverse(1e-12 * NILP)
+
+    def test_index_two_takes_three_svds_and_one_schur_form(self, monkeypatch):
+        a = random_index2(np.random.default_rng(0), 64)
+        calls = spy(monkeypatch, (np.linalg, "svd"), (scipy.linalg, "schur"))
+        drazin(a)
+        # the loop factors A and ranks A^2 and A^3; the split reuses its core size
+        assert calls == {"svd": 3, "schur": 1}
+
+    def test_an_overflowing_power_raises_before_the_split(self):
+        # index 4: A^3 overflows.  The Schur diagonal alone reads this A as
+        # nilpotent, but the loop ranks every power it needs first, as index does
+        a = 1e150 * np.triu(np.ones((4, 4)), 1)
+        for f in (index, drazin):
+            with pytest.raises(NonFiniteError):
+                f(a)
+
+
+def branch_first_index_and_rank(m, tol_rank):
+    """The index loop ranking eye @ A, A^2, ... by ``matrix_rank``, with the
+    rank of A^index."""
+    n = m.shape[0]
+    prev = n
+    power = np.eye(n, dtype=complex)
+    for q in range(n + 1):
+        with np.errstate(over="ignore", invalid="ignore"):
+            power = power @ m
+        r = matrix_rank(power, tol_rank)
+        if r == prev:
+            return q, prev
+        prev = r
+    return n, prev
+
+
+def branch_first_cline(m, tol_zero, tol_rank, scale, core_size):
+    """Cline's formula tried from its own SVD, with its own rank(A^2) test
+    unless the caller ran the index loop and passes ``core_size``."""
+    n = m.shape[0]
+    thresh = _zero_threshold(m, tol_zero, scale)
+    u, s, vh = np.linalg.svd(m)
+    if not n or _require_finite(s[0], "the largest singular value") <= thresh:
+        return np.zeros((n, n), dtype=complex)
+    r = int(np.count_nonzero(s > tol_rank * s[0]))
+    if r < n and s[r] > thresh:
+        return None
+    if r < n and (matrix_rank(m @ m, tol_rank) if core_size is None else core_size) != r:
+        return None
+    f = u[:, :r] * s[:r]
+    g = vh[:r]
+    gf = g @ f
+    if math.exp(np.linalg.slogdet(gf)[1] / r) <= thresh:
+        return None
+    return f @ np.linalg.solve(gf, np.linalg.solve(gf, g))
+
+
+def branch_first_drazin(m, tol_zero=TOL_ZERO, tol_rank=TOL_RANK, scale=None):
+    """Cline's formula first, then the split, which runs its own index loop
+    unless its Schur diagonal reads A as nilpotent."""
+    m = np.asarray(m, dtype=complex)
+    x = branch_first_cline(m, tol_zero, tol_rank, scale, None)
+    if x is None:
+        x = _inverse_of_split(*_split(m, _zero_threshold(m, tol_zero, scale), tol_rank, None))
+    return x
+
+
+def branch_first_group_inverse(m, tol_rank=TOL_RANK, tol_zero=TOL_ZERO):
+    """The index loop, its check, then Cline's formula and the split with the loop's rank."""
+    m = np.asarray(m, dtype=complex)
+    q, rank = branch_first_index_and_rank(m, tol_rank)
+    if q > 1:
+        raise IndexTooLargeError(f"matrix has index {q}, group inverse needs index <= 1")
+    x = branch_first_cline(m, tol_zero, tol_rank, None, rank)
+    if x is None:
+        x = _inverse_of_split(*_split(m, _zero_threshold(m, tol_zero, None), tol_rank, rank))
+    return x
+
+
+def outcome(f, *args, **kwargs):
+    """The bytes, dtype and shape of f's result, or the type and message of what it raised."""
+    try:
+        x = f(*args, **kwargs)
+    except Exception as exc:  # noqa: BLE001 - the outcome is compared, whatever it is
+        return type(exc), str(exc)
+    return x.dtype, x.shape, x.tobytes()
+
+
+@st.composite
+def reference_inputs(draw):
+    """Planted index 0-3 with n <= 12, cond(S) <= 1e4 and scale 1e-6 to 1e6,
+    cores of any size down to none (all nilpotent), or one of the fixed
+    size-0 and all-nilpotent matrices."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.sampled_from([np.zeros((0, 0)), np.zeros((3, 3)), NILP, 1e-12 * NILP, JORDAN - np.eye(2)]))
+    q = draw(st.integers(0, 3))
+    core_size = draw(st.integers(1 if q == 0 else 0, 12 - q))
+    log_cond, log_scale = draw(st.floats(0.0, 4.0)), draw(st.floats(-6.0, 6.0))
+    return planted_index(draw(st.integers(0, 2**32 - 1)), q, core_size, log_cond, log_scale)
+
+
+class TestAgainstTheBranchFirstOrder:
+    """The index loop first gives the bytes, or the exception, of Cline's
+    formula tried first with its own rank tests and the split's own loop."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        reference_inputs(),
+        st.sampled_from([TOL_RANK, 0.5, 0.7]),
+        st.one_of(st.none(), st.floats(-6.0, 6.0).map(lambda e: 10.0**e)),
+    )
+    def test_bitwise_the_same(self, a, tol_rank, scale):
+        want = outcome(branch_first_drazin, a, tol_rank=tol_rank, scale=scale)
+        assert outcome(drazin, a, tol_rank=tol_rank, scale=scale) == want
+        want = outcome(branch_first_group_inverse, a, tol_rank=tol_rank)
+        assert outcome(group_inverse, a, tol_rank=tol_rank) == want

@@ -1,6 +1,7 @@
 """One ``Tolerances`` value reaches every thresholded decision."""
 
 import inspect
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -97,10 +98,10 @@ def test_result_carries_its_tolerances():
     assert evidence.x_hat_solves_equation and evidence.x_hat_solves_standard
 
 
-@pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0, None, "1e-3", 1j, [1]])
 @pytest.mark.parametrize("name", [f.name for f in fields(Tolerances)])
 def test_out_of_range_value_rejected(name, value):
-    with pytest.raises(ValueError, match=f"^{name} must be a finite float >= 0, got {value!r}$"):
+    with pytest.raises(ValueError, match="^" + re.escape(f"{name} must be a finite float >= 0, got {value!r}") + "$"):
         Tolerances(**{name: value})
 
 
