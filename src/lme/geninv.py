@@ -1,16 +1,14 @@
 """Generalized inverses: Moore-Penrose, Drazin, group inverse, matrix index.
 
 ``drazin`` and ``group_inverse`` run the index loop first, the only code
-that forms powers of A.  It takes the full SVD A = U S V^H and counts
-rank(A) from it as ``matrix_rank`` does.  At index at most one the group
-inverse is read off that SVD: with F = U_r S_r and G = V_r^H,
+that forms powers of A, from the full SVD A = U S V^H.  At index at most one
+the group inverse is read off that SVD: with F = U_r S_r and G = V_r^H,
 A^# = F (G F)^{-2} G (Cline 1968), which covers the coefficient sums of
 commuting diagonalizable families.  At index two or more, or where Cline
-gives way, the core-nilpotent split runs with the loop's core size: one
-complex Schur form reordered by LAPACK ``trsen`` and a triangular Sylvester
-solve by LAPACK ``trsyl``, of which ``drazin`` inverts only the core block.
-``core_nilpotent`` runs the split alone, and the loop, from the singular
-values of A, only when A is not all nilpotent.
+gives way, the core-nilpotent split runs: a complex Schur form reordered by
+LAPACK ``trsen`` and a triangular Sylvester solve by LAPACK ``trsyl``, of
+which ``drazin`` inverts only the core block.  ``core_nilpotent`` runs the
+split alone.
 
 The split is the package's only use of scipy and imports ``scipy.linalg``
 when it first runs.  Importing lme, solving, ``check_consistent``, the CLI's
@@ -22,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -82,22 +81,27 @@ def _require_finite(value: float, what: str) -> float:
 
 def index(a, tol_rank: float = TOL_RANK) -> int:
     """Least q >= 0 with rank(A^{q+1}) = rank(A^q)."""
-    m = require_square(as_matrix(a))
-    return _index_loop(m, tol_rank, np.linalg.svd(m, compute_uv=False))[0]
+    return [*_index_loop(require_square(as_matrix(a)), tol_rank)][-1][0]
 
 
-def _index_loop(m: np.ndarray, tol_rank: float, s: np.ndarray) -> tuple[int, int]:
-    """(q, rank(A^q)) for the ``index`` q of a validated square matrix: the
-    rank of A is counted from its singular values ``s``, that of each further
-    power by ``matrix_rank``.  The only code that forms powers of A."""
+def _index_loop(m: np.ndarray, tol_rank: float, s: np.ndarray | None = None):
+    """Yield (q, rank(A^(q+1)), done) for q = 0, 1, ... of a validated square
+    matrix, done when rank(A^(q+1)) = rank(A^q), q being the ``index``, or
+    q = n.  Each step forms one more power, only when asked for.  rank(A)
+    comes from ``s``, the full SVD's values in ``drazin`` and
+    ``group_inverse``, else a values-only SVD's (``index``,
+    ``core_nilpotent``); the two may differ in the last bits, and so count
+    a singular value at tol_rank * sigma_max apart."""
     n = m.shape[0]
+    s = np.linalg.svd(m, compute_uv=False) if s is None else s
     q, prev, rank, power = 0, n, _count_rank(s, tol_rank), m
     while rank != prev and q < n:
+        yield q, rank, False
         # an overflowing power is reported by matrix_rank's NonFiniteError
         with np.errstate(over="ignore", invalid="ignore"):
             power = power @ m
         q, prev, rank = q + 1, rank, matrix_rank(power, tol_rank)
-    return q, rank
+    yield q, rank, True
 
 
 @dataclass(frozen=True)
@@ -120,11 +124,8 @@ def _zero_threshold(m: np.ndarray, tol_zero: float, scale: float | None) -> floa
 def _group_inverse_by_svd(u: np.ndarray, s: np.ndarray, vh: np.ndarray, r: int, thresh: float):
     """F (G F)^{-2} G with F = U_r S_r and G = V_r^H, from the SVD A = U S V^H
     of a matrix of index at most one and rank r, or None where it cannot be
-    sure to decide as ``_split`` would: when a dropped singular value is
-    above the zero threshold ``thresh`` (r = 0 among them), or when
-    |det(G F)|^{1/r}, a lower bound on the spectral radius, is at or below it."""
-    if r < s.size and s[r] > thresh:
-        return None
+    sure to decide as ``_split`` would: when |det(G F)|^{1/r}, a lower bound
+    on the spectral radius, is at or below the zero threshold ``thresh``."""
     f = u[:, :r] * s[:r]
     g = vh[:r]
     gf = g @ f
@@ -133,25 +134,22 @@ def _group_inverse_by_svd(u: np.ndarray, s: np.ndarray, vh: np.ndarray, r: int, 
     return f @ np.linalg.solve(gf, np.linalg.solve(gf, g))
 
 
-def _split(m: np.ndarray, thresh: float, tol_rank: float, core_size: int | None):
+def _split(m: np.ndarray, thresh: float, steps):
     """(Z, B, N, k, R) with Z unitary and A = Z [[I, R], [0, I]] (B ⊕ N) [[I, -R], [0, I]] Z^H,
     from one complex Schur form A = Z T Z^H.
 
     k is 0 when every |T_ii| is at or below the zero threshold ``thresh``,
-    else ``core_size`` or, with none given, rank(A^index) from the index
-    loop.  A cutoff in the gap of diag(T) picks the k core eigenvalues for
-    ``ztrsen`` (a defective zero cluster of size q scatters to about
-    eps^(1/q), past a plain threshold), and ``ztrsyl`` solves
-    B R - R N = -T12.  Nilpotent diagonal entries at or below the threshold
-    are zeroed, so exact inputs give exactly nilpotent blocks."""
+    else the rank in the last of ``steps``, the rest of an index loop.  A
+    cutoff in the gap of diag(T) picks the k core eigenvalues for ``ztrsen``
+    (a defective zero cluster of size q scatters to about eps^(1/q)), and
+    ``ztrsyl`` solves B R - R N = -T12.  Nilpotent diagonal entries at or
+    below the threshold are zeroed: exact inputs give exactly nilpotent N."""
     import scipy.linalg  # here, not at the top: it would be most of `import lme`
 
     n = m.shape[0]
     t, z = scipy.linalg.schur(m, output="complex")
     moduli = np.abs(np.diag(t))
-    if n and moduli.max() <= thresh:
-        core_size = 0  # all nilpotent; no rank test needed
-    k = _index_loop(m, tol_rank, np.linalg.svd(m, compute_uv=False))[1] if core_size is None else core_size
+    k = 0 if n and moduli.max() <= thresh else [*steps][-1][1]  # all nilpotent: no rank test needed
     if 0 < k < n:
         hi, lo = np.sort(moduli)[::-1][k - 1 : k + 1]
         if hi > 2.0 * lo:
@@ -181,15 +179,14 @@ def core_nilpotent(
     scale: float | None = None,
 ) -> CoreNilpotentDecomposition:
     """Split A into an invertible core and a nilpotent remainder, with the
-    similarity Z [[I, R], [0, I]] of ``_split``, which runs the index loop
-    unless A is all nilpotent.  ``scale`` overrides the zero-threshold
+    similarity Z [[I, R], [0, I]] of ``_split``.  ``scale`` overrides the zero-threshold
     reference: callers whose matrix is a residue of cancellations (a
     coefficient sum that vanishes in exact arithmetic) pass the scale of the
     uncancelled inputs, so a noise-level matrix is split as all-nilpotent
     rather than inverted.  An overflowing Frobenius norm or a ``scale`` that
     is not finite raises ``NonFiniteError``."""
     m = require_square(as_matrix(a))
-    z, core, nil, k, r = _split(m, _zero_threshold(m, tol_zero, scale), tol_rank, None)
+    z, core, nil, k, r = _split(m, _zero_threshold(m, tol_zero, scale), _index_loop(m, tol_rank))
     if r.any():
         upper = np.eye(z.shape[0], dtype=complex)
         upper[:k, k:] = r
@@ -203,21 +200,26 @@ def _inverse_of_split(z, core, _, k, r) -> np.ndarray:
 
 
 def _drazin(m: np.ndarray, tol_zero: float, tol_rank: float, scale: float | None, group: bool) -> np.ndarray:
-    """``drazin``, or with ``group`` ``group_inverse``, of a validated square
-    matrix.  A sigma_max at or below the zero threshold bounds every
-    eigenvalue modulus, so the inverse is zero: ``group`` rejects index > 1
-    first, the Drazin inverse decides this before any power of A."""
+    """``drazin``, or with ``group`` ``group_inverse`` (which runs the loop to
+    its end and rejects index > 1 first), of a validated square matrix.  A
+    sigma_max at or below the zero threshold bounds every eigenvalue modulus,
+    so the inverse is zero.  The split reads its Schur diagonal before the
+    loop goes on past A^2, so an all-nilpotent A forms no further power."""
     n = m.shape[0]
     u, s, vh = np.linalg.svd(m)
-    loop = _index_loop(m, tol_rank, s) if group else None
-    if loop and loop[0] > 1:
-        raise IndexTooLargeError(f"matrix has index {loop[0]}, group inverse needs index <= 1")
+    loop = _index_loop(m, tol_rank, s)
+    step = [*loop][-1] if group else None
+    if step and step[0] > 1:
+        raise IndexTooLargeError(f"matrix has index {step[0]}, group inverse needs index <= 1")
     thresh = _zero_threshold(m, tol_zero, scale)
     if not n or _require_finite(s[0], "the largest singular value") <= thresh:
         return np.zeros((n, n), dtype=complex)
-    q, k = loop or _index_loop(m, tol_rank, s)
-    x = _group_inverse_by_svd(u, s, vh, k, thresh) if q <= 1 else None
-    return _inverse_of_split(*_split(m, thresh, tol_rank, k)) if x is None else x
+    q, r, done = step or next(loop)
+    cline = r == n or s[r] <= thresh  # no dropped singular value above it (r = 0 drops all)
+    if cline and not done:
+        q, r, done = next(loop)  # rank(A^2): index 1, or 2 or more
+    x = _group_inverse_by_svd(u, s, vh, r, thresh) if cline and done else None
+    return _inverse_of_split(*_split(m, thresh, chain([(q, r, done)], loop))) if x is None else x
 
 
 def drazin(
@@ -226,9 +228,9 @@ def drazin(
     tol_rank: float = TOL_RANK,
     scale: float | None = None,
 ) -> np.ndarray:
-    """Drazin inverse: the index loop, then Cline's formula from the loop's
-    SVD at index <= 1, or else ``_split`` with the loop's core size, which
-    inverts only the k×k core; ``scale`` is as in ``core_nilpotent``."""
+    """Drazin inverse: the index loop, then Cline's formula from its SVD at
+    index <= 1, or else ``_split``, inverting only the k×k core; ``scale`` is
+    as in ``core_nilpotent``."""
     return _drazin(require_square(as_matrix(a)), tol_zero, tol_rank, scale, False)
 
 

@@ -11,7 +11,6 @@ from lme.equations import coefficient_sum
 from lme.errors import IndexTooLargeError, NonFiniteError, NonSquareError
 from lme.geninv import (
     CoreNilpotentDecomposition,
-    _group_inverse_by_svd,
     _index_loop,
     _inverse_of_split,
     _require_finite,
@@ -418,7 +417,7 @@ class TestOneSchurFormAgainstReference:
 
     def test_no_gap_branch(self):
         m = no_gap_input().astype(complex)
-        k = _index_loop(m, 0.7, np.linalg.svd(m, compute_uv=False))[1]
+        k = [*_index_loop(m, 0.7)][-1][1]
         moduli = np.sort(np.abs(np.linalg.eigvals(m)))[::-1]
         assert k == 1 and moduli[0] <= 2.0 * moduli[1]  # the branch is reached
         assert core_nilpotent(m, tol_rank=0.7).core_size == 2
@@ -556,7 +555,7 @@ class TestDrazinUnderConditioning:
 
 def schur_drazin(m, tol_rank=TOL_RANK):
     """The Drazin inverse from the core-nilpotent split alone."""
-    return _inverse_of_split(*_split(m, _zero_threshold(m, TOL_ZERO, None), tol_rank, None))
+    return _inverse_of_split(*_split(m, _zero_threshold(m, TOL_ZERO, None), _index_loop(m, tol_rank)))
 
 
 def planted_group(seed, n, core_size, log_cond, log_scale):
@@ -575,16 +574,18 @@ def planted_group(seed, n, core_size, log_cond, log_scale):
 BRANCH_GAP = 1e-13
 
 
-def cline_or_none(a, tol_rank):
-    """What ``drazin`` takes from Cline's formula: zero for an A at or below
-    the zero threshold, else the index loop on the SVD of A, then
-    ``_group_inverse_by_svd`` at index <= 1 and None at index >= 2."""
-    u, s, vh = np.linalg.svd(a)
-    thresh = _zero_threshold(a, TOL_ZERO, None)
-    if not a.size or s[0] <= thresh:
-        return np.zeros(a.shape, dtype=complex)
-    q, k = _index_loop(a, tol_rank, s)
-    return _group_inverse_by_svd(u, s, vh, k, thresh) if q <= 1 else None
+def split_calls(mp):
+    """A list that records each call of ``_split`` while ``mp`` is active:
+    ``drazin`` returns Cline's formula, or zero, exactly when it stays empty."""
+    calls = []
+    original = lme.geninv._split
+
+    def spied(*args):
+        calls.append(args)
+        return original(*args)
+
+    mp.setattr(lme.geninv, "_split", spied)
+    return calls
 
 
 class TestGroupInverseBySvd:
@@ -601,23 +602,28 @@ class TestGroupInverseBySvd:
     def test_gives_way_or_agrees_with_the_split(self, sizes, log_cond, log_scale, tol_rank, seed):
         n, core_size = sizes
         a, cond = planted_group(seed, n, core_size, log_cond, log_scale)
-        got = cline_or_none(a, tol_rank)
-        if got is None:
-            return
+        with pytest.MonkeyPatch.context() as mp:
+            calls = split_calls(mp)
+            got = drazin(a, tol_rank=tol_rank)
+        if calls:
+            return  # Cline gave way
         want = schur_drazin(a, tol_rank)
         assert fro(got - want) <= BRANCH_GAP * cond**2 * fro(want)
-        assert np.array_equal(drazin(a, tol_rank=tol_rank), got)
 
     @settings(max_examples=100, deadline=None)
     @given(indexed_matrices(st.integers(2, 3)))
     def test_index_two_and_three_take_the_split(self, drawn):
         _, _, a = drawn
-        assert cline_or_none(a, TOL_RANK) is None
-        assert np.array_equal(drazin(a), schur_drazin(a))
+        with pytest.MonkeyPatch.context() as mp:
+            calls = split_calls(mp)
+            got = drazin(a)
+        assert len(calls) == 1
+        assert np.array_equal(got, schur_drazin(a))
 
     def test_all_nilpotent_below_the_zero_threshold(self, monkeypatch):
         def no_loop(*args):
             raise AssertionError("the index loop ran")
+            yield  # a generator, as the loop is: it runs only when advanced
 
         monkeypatch.setattr(lme.geninv, "_index_loop", no_loop)
         for m in (np.zeros((3, 3), dtype=complex), 1e-12 * NILP, np.zeros((0, 0), dtype=complex)):
@@ -625,10 +631,16 @@ class TestGroupInverseBySvd:
             assert got.shape == m.shape and got.dtype == complex and not got.any()
 
 
+def shift(n):
+    """The n×n nilpotent shift matrix, ones on the superdiagonal."""
+    return np.eye(n, k=1, dtype=complex)
+
+
 class TestOrderOfDecisions:
     """The zero shortcut of ``drazin`` comes before any power of A, the index
-    check of ``group_inverse`` before the zero shortcut, and one index loop
-    serves Cline's formula and the split."""
+    check of ``group_inverse`` before the zero shortcut, Cline's dropped
+    singular value test before A^2, the split's Schur diagonal before A^3,
+    and one index loop serves Cline's formula and the split."""
 
     def test_drazin_zero_shortcut_precedes_any_power(self):
         # A^2 would overflow; A is below the zero threshold of its scale
@@ -646,13 +658,34 @@ class TestOrderOfDecisions:
         # the loop factors A and ranks A^2 and A^3; the split reuses its core size
         assert calls == {"svd": 3, "schur": 1}
 
-    def test_an_overflowing_power_raises_before_the_split(self):
-        # index 4: A^3 overflows.  The Schur diagonal alone reads this A as
-        # nilpotent, but the loop ranks every power it needs first, as index does
+    def test_nilpotent_shift_takes_two_svds_and_one_schur_form(self, monkeypatch):
+        calls = spy(monkeypatch, (np.linalg, "svd"), (scipy.linalg, "schur"))
+        got = drazin(shift(64))
+        # A and A^2 are ranked; the Schur diagonal then reads A as nilpotent,
+        # so A^3 ... A^64 are never formed
+        assert calls == {"svd": 2, "schur": 1}
+        assert got.shape == (64, 64) and not got.any()
+
+    def test_schur_diagonal_precedes_an_overflowing_cube(self):
+        # index 4: A^2 is finite, A^3 overflows.  The Schur diagonal reads A
+        # as nilpotent before the loop goes on, in drazin as in core_nilpotent;
+        # index needs the power and raises
         a = 1e150 * np.triu(np.ones((4, 4)), 1)
-        for f in (index, drazin):
-            with pytest.raises(NonFiniteError):
-                f(a)
+        got = drazin(a)
+        assert got.shape == (4, 4) and not got.any()
+        assert core_nilpotent(a).core_size == 0
+        with pytest.raises(NonFiniteError):
+            index(a)
+
+    def test_dropped_singular_value_precedes_an_overflowing_square(self):
+        # nilpotent, singular values 1e160, 1e160, 1e159, 0, 0: at tol_rank
+        # 0.5 rank(A) is 2 and 1e159 is a dropped value above the threshold,
+        # so Cline gives way before A^2, which overflows, is formed
+        a = 1e160 * scipy.linalg.block_diag(shift(3), 0.1 * shift(2))
+        got = drazin(a, tol_rank=0.5, scale=1e160)
+        assert got.shape == (5, 5) and not got.any()
+        with pytest.raises(NonFiniteError):
+            drazin(a, scale=1e160)  # rank(A) is 3, no value is dropped: A^2 is ranked
 
 
 def branch_first_index_and_rank(m, tol_rank):
@@ -671,6 +704,18 @@ def branch_first_index_and_rank(m, tol_rank):
     return n, prev
 
 
+def branch_first_steps(m, thresh, tol_rank):
+    """The one step ``_split`` reads: core size 0 where the Schur diagonal is
+    at or below ``thresh``, else the copied loop's result.  The split's own
+    loop ran only in the second case, so this one reads a Schur form itself
+    before it runs the loop, whenever ``_split`` asks."""
+    if m.shape[0] and np.abs(np.diag(scipy.linalg.schur(m, output="complex")[0])).max() <= thresh:
+        yield 0, 0, True
+        return
+    q, rank = branch_first_index_and_rank(m, tol_rank)
+    yield q, rank, True
+
+
 def branch_first_cline(m, tol_zero, tol_rank, scale, core_size):
     """Cline's formula tried from its own SVD, with its own rank(A^2) test
     unless the caller ran the index loop and passes ``core_size``."""
@@ -682,7 +727,10 @@ def branch_first_cline(m, tol_zero, tol_rank, scale, core_size):
     r = int(np.count_nonzero(s > tol_rank * s[0]))
     if r < n and s[r] > thresh:
         return None
-    if r < n and (matrix_rank(m @ m, tol_rank) if core_size is None else core_size) != r:
+    if r < n and core_size is None:
+        with np.errstate(over="ignore", invalid="ignore"):  # matrix_rank reports an overflow
+            core_size = matrix_rank(m @ m, tol_rank)
+    if r < n and core_size != r:
         return None
     f = u[:, :r] * s[:r]
     g = vh[:r]
@@ -698,7 +746,8 @@ def branch_first_drazin(m, tol_zero=TOL_ZERO, tol_rank=TOL_RANK, scale=None):
     m = np.asarray(m, dtype=complex)
     x = branch_first_cline(m, tol_zero, tol_rank, scale, None)
     if x is None:
-        x = _inverse_of_split(*_split(m, _zero_threshold(m, tol_zero, scale), tol_rank, None))
+        thresh = _zero_threshold(m, tol_zero, scale)
+        x = _inverse_of_split(*_split(m, thresh, branch_first_steps(m, thresh, tol_rank)))
     return x
 
 
@@ -710,7 +759,7 @@ def branch_first_group_inverse(m, tol_rank=TOL_RANK, tol_zero=TOL_ZERO):
         raise IndexTooLargeError(f"matrix has index {q}, group inverse needs index <= 1")
     x = branch_first_cline(m, tol_zero, tol_rank, None, rank)
     if x is None:
-        x = _inverse_of_split(*_split(m, _zero_threshold(m, tol_zero, None), tol_rank, rank))
+        x = _inverse_of_split(*_split(m, _zero_threshold(m, tol_zero, None), [(q, rank, True)]))
     return x
 
 
@@ -724,7 +773,7 @@ def outcome(f, *args, **kwargs):
 
 
 @st.composite
-def reference_inputs(draw):
+def reference_inputs(draw, log_scales=st.floats(-6.0, 6.0)):
     """Planted index 0-3 with n <= 12, cond(S) <= 1e4 and scale 1e-6 to 1e6,
     cores of any size down to none (all nilpotent), or one of the fixed
     size-0 and all-nilpotent matrices."""
@@ -732,8 +781,27 @@ def reference_inputs(draw):
         return draw(st.sampled_from([np.zeros((0, 0)), np.zeros((3, 3)), NILP, 1e-12 * NILP, JORDAN - np.eye(2)]))
     q = draw(st.integers(0, 3))
     core_size = draw(st.integers(1 if q == 0 else 0, 12 - q))
-    log_cond, log_scale = draw(st.floats(0.0, 4.0)), draw(st.floats(-6.0, 6.0))
+    log_cond, log_scale = draw(st.floats(0.0, 4.0)), draw(log_scales)
     return planted_index(draw(st.integers(0, 2**32 - 1)), q, core_size, log_cond, log_scale)
+
+
+@st.composite
+def overflowing_inputs(draw):
+    """Planted inputs, or strictly upper triangular (all nilpotent) ones with
+    n <= 8, at scale 1e60 to 1e160, where some power of A, or ||A||_F, overflows."""
+    log_scale = st.floats(60.0, 160.0)
+    if draw(st.booleans()):
+        return draw(reference_inputs(log_scale))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 8))
+    return 10.0 ** draw(log_scale) * np.triu(rng.standard_normal((n, n)), 1)
+
+
+def assert_same_outcomes(a, tol_rank, scale):
+    want = outcome(branch_first_drazin, a, tol_rank=tol_rank, scale=scale)
+    assert outcome(drazin, a, tol_rank=tol_rank, scale=scale) == want
+    want = outcome(branch_first_group_inverse, a, tol_rank=tol_rank)
+    assert outcome(group_inverse, a, tol_rank=tol_rank) == want
 
 
 class TestAgainstTheBranchFirstOrder:
@@ -747,7 +815,13 @@ class TestAgainstTheBranchFirstOrder:
         st.one_of(st.none(), st.floats(-6.0, 6.0).map(lambda e: 10.0**e)),
     )
     def test_bitwise_the_same(self, a, tol_rank, scale):
-        want = outcome(branch_first_drazin, a, tol_rank=tol_rank, scale=scale)
-        assert outcome(drazin, a, tol_rank=tol_rank, scale=scale) == want
-        want = outcome(branch_first_group_inverse, a, tol_rank=tol_rank)
-        assert outcome(group_inverse, a, tol_rank=tol_rank) == want
+        assert_same_outcomes(a, tol_rank, scale)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        overflowing_inputs(),
+        st.sampled_from([TOL_RANK, 0.5, 0.7]),
+        st.one_of(st.none(), st.floats(60.0, 170.0).map(lambda e: 10.0**e)),
+    )
+    def test_bitwise_the_same_where_powers_overflow(self, a, tol_rank, scale):
+        assert_same_outcomes(a, tol_rank, scale)
