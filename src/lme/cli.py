@@ -156,10 +156,10 @@ def _load_spec(args):
 
 
 def _emit(report: dict, out_path: str | None) -> None:
-    # without indent json.dumps runs the C encoder; indent=2 would encode
-    # every nested float in pure Python
-    lines = ",\n".join(f"  {json.dumps(key)}: {json.dumps(value)}" for key, value in report.items())
-    text = "{\n" + lines + "\n}\n"
+    # without indent json.dumps runs the C encoder (indent=2 would encode
+    # every nested float in pure Python); a report holds no cycles to check
+    body = ",\n".join(f"  {json.dumps(k)}: {json.dumps(v, check_circular=False)}" for k, v in report.items())
+    text = "{\n" + body + "\n}\n"
     if not out_path:
         sys.stdout.write(text)
         return

@@ -97,10 +97,10 @@ def _index_loop(m: np.ndarray, tol_rank: float, s: np.ndarray | None = None):
     q, prev, rank, power = 0, n, _count_rank(s, tol_rank), m
     while rank != prev and q < n:
         yield q, rank, False
-        # an overflowing power is reported by matrix_rank's NonFiniteError
+        # an overflowing power is reported by a NonFiniteError naming it
         with np.errstate(over="ignore", invalid="ignore"):
             power = power @ m
-        q, prev, rank = q + 1, rank, matrix_rank(power, tol_rank)
+        q, prev, rank = q + 1, rank, matrix_rank(as_matrix(power, f"A^{q + 2}"), tol_rank)
     yield q, rank, True
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cmp_to_key
+from functools import cache, cmp_to_key
 
 import numpy as np
 
@@ -257,12 +257,13 @@ def cluster_means(values: np.ndarray, clusters) -> np.ndarray:
     """The mean of ``values[c]`` for each index list ``c`` of ``clusters``,
     in order.
 
-    Clusters of one size are stacked as the rows of one array and averaged
-    by one ``mean(axis=1)``.  Each row is summed pairwise like the 1-D
-    ``values[c].mean()``, so every mean is that one bit for bit, signed
-    zeros included (``np.add.reduceat`` sums differently and is not).
-    The clustering takes the means once, to order the clusters, and hands
-    them on with them, so a member's means are not taken twice.
+    Clusters of one size are stacked as the rows of one array, and each
+    row is summed pairwise by ``np.add.reduce`` like the 1-D
+    ``values[c].mean()``, in the result's type, and divided by its count, as
+    ``mean`` does without its Python wrapper: every mean is that one bit for
+    bit (integers are summed as floats, as by ``mean``), signed zeros
+    included (``np.add.reduceat`` sums differently and is not).  The
+    clustering hands the means on with the clusters it ordered by them.
     """
     means = np.empty(len(clusters), dtype=np.result_type(values.dtype, float))
     by_size: dict[int, list[int]] = {}
@@ -270,9 +271,10 @@ def cluster_means(values: np.ndarray, clusters) -> np.ndarray:
         by_size.setdefault(len(c), []).append(k)
     for ks in by_size.values():
         if len(ks) == 1:  # one cluster of its size: no stacking to gain
-            means[ks[0]] = values[clusters[ks[0]]].mean()
+            rows = values[clusters[ks[0]]]
         else:
-            means[ks] = values[np.array([clusters[k] for k in ks])].mean(axis=1)
+            rows = values[np.array([clusters[k] for k in ks])]
+        means[ks] = np.add.reduce(rows, axis=-1, dtype=means.dtype) / rows.shape[-1]
     return means
 
 
@@ -303,9 +305,17 @@ def _joint_eigenbasis(mats, tol_recon: float, tol_cluster: float, norms) -> Join
         return _eigenbasis_of_mix(mats, _FALLBACK_SEED, tol_recon, tol_cluster, norms)
 
 
+@cache
+def _mix_weights(seed: int, count: int) -> np.ndarray:
+    """The first ``count`` complex Gaussian draws of ``default_rng(seed)``, read-only, drawn once."""
+    mu = np.random.default_rng(seed).standard_normal((count, 2)) @ (1, 1j)
+    mu.flags.writeable = False
+    return mu
+
+
 def _eigenbasis_of_mix(mats, seed: int, tol_recon: float, tol_cluster: float, norms) -> JointEigenbasis:
-    """``_joint_eigenbasis`` with the weights of one seed."""
-    mu = np.random.default_rng(seed).standard_normal((len(mats), 2)) @ (1, 1j)
+    """``_joint_eigenbasis`` with the weights of one seed, from ``_mix_weights``."""
+    mu = _mix_weights(seed, len(mats))
     mix = sum(w / max(1.0, norm) * m for w, norm, m in zip(mu, norms, mats))
     w, v = np.linalg.eig(mix)
     groups = cluster_values(w, tol_cluster * max(1.0, fro(mix)))

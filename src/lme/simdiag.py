@@ -15,7 +15,7 @@ partition, with distinct values across sibling blocks.
 
 The module also recovers, without computing any diagonalizer, a compatible
 ordering of the eigenvalues of two commuting matrices, by intersecting
-eigenvalue multisets of shifted products.
+eigenvalue multisets of one shifted product, rescaled per block.
 """
 
 from __future__ import annotations
@@ -390,9 +390,11 @@ def induced_pair_without_diagonalizer(a, b, tol: Tolerances = DEFAULT):
     first level of the star sequence, both read off the family's joint
     eigenbasis.  For each nonzero block, the matching block of
     ``b``-eigenvalues is recovered as the multiset intersection of eig(B)
-    with eig((AB + beta*A)/lambda - beta*I) for a shift ``beta`` chosen
-    outside the set of collision values; what no nonzero block took fills
-    the zero eigenvalue block.  The intersection uses the greedy matcher of
+    with eig((AB + beta*A)/lambda - beta*I) = eig(AB + beta*A)/lambda - beta
+    (spectral mapping) for a shift ``beta`` chosen outside the set of
+    collision values: the shifted product AB + beta*A is solved once for
+    every block.  What no nonzero block took fills the zero eigenvalue
+    block.  The intersection uses the greedy matcher of
     ``match_induced_sequences``.  Returns ``(avec, bvec, collision_set,
     beta)``, cross-checked against the joint diagonalizer's induced pair.
 
@@ -444,14 +446,12 @@ def _induced_pair(family: CommutingFamily, star: StarSequence):
         raise IntersectionAmbiguousError("multiple zero eigenvalue blocks")
     free = np.ones(n, dtype=bool)
     bvec = np.empty(n, dtype=complex)
-    # the block-independent parts of (AB + beta*A)/lam - beta*I, formed once
-    ab_shift = amat @ bmat + beta * amat
-    eye_shift = beta * np.eye(n)
+    # eig((AB + beta*A)/lam - beta*I) is eig(AB + beta*A)/lam - beta
+    mu = np.linalg.eigvals(amat @ bmat + beta * amat)
     for q, (lo, hi) in enumerate(blocks):
         if zero[q]:
             continue
-        shifted = ab_shift / lam[q] - eye_shift
-        cols, _ = _greedy_match(np.abs(np.linalg.eigvals(shifted)[:, None] - b_eigs), gap, free)
+        cols, _ = _greedy_match(np.abs((mu / lam[q] - beta)[:, None] - b_eigs), gap, free)
         matched = b_eigs[[p for p in cols if p >= 0]]
         if matched.size != hi - lo:
             raise IntersectionAmbiguousError(

@@ -31,7 +31,7 @@ from lme.instances import (
     random_index2,
     random_normal,
 )
-from lme.matcore import fro
+from lme.matcore import as_matrix, fro
 from lme.tolerances import TOL_RANK, TOL_ZERO
 
 NILP = np.array([[0, 1], [0, 0]], dtype=complex)
@@ -669,12 +669,12 @@ class TestOrderOfDecisions:
     def test_schur_diagonal_precedes_an_overflowing_cube(self):
         # index 4: A^2 is finite, A^3 overflows.  The Schur diagonal reads A
         # as nilpotent before the loop goes on, in drazin as in core_nilpotent;
-        # index needs the power and raises
+        # index needs the power and raises, naming it
         a = 1e150 * np.triu(np.ones((4, 4)), 1)
         got = drazin(a)
         assert got.shape == (4, 4) and not got.any()
         assert core_nilpotent(a).core_size == 0
-        with pytest.raises(NonFiniteError):
+        with pytest.raises(NonFiniteError, match=r"^A\^3 contains non-finite entries$"):
             index(a)
 
     def test_dropped_singular_value_precedes_an_overflowing_square(self):
@@ -697,7 +697,7 @@ def branch_first_index_and_rank(m, tol_rank):
     for q in range(n + 1):
         with np.errstate(over="ignore", invalid="ignore"):
             power = power @ m
-        r = matrix_rank(power, tol_rank)
+        r = matrix_rank(as_matrix(power, f"A^{q + 1}"), tol_rank)
         if r == prev:
             return q, prev
         prev = r
@@ -728,8 +728,8 @@ def branch_first_cline(m, tol_zero, tol_rank, scale, core_size):
     if r < n and s[r] > thresh:
         return None
     if r < n and core_size is None:
-        with np.errstate(over="ignore", invalid="ignore"):  # matrix_rank reports an overflow
-            core_size = matrix_rank(m @ m, tol_rank)
+        with np.errstate(over="ignore", invalid="ignore"):  # as_matrix reports an overflow
+            core_size = matrix_rank(as_matrix(m @ m, "A^2"), tol_rank)
     if r < n and core_size != r:
         return None
     f = u[:, :r] * s[:r]

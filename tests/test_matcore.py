@@ -5,7 +5,10 @@ from hypothesis import strategies as st
 
 from lme.errors import DimensionMismatchError, EmptyListError, NonFiniteError, NonSquareError
 from lme.matcore import (
+    _FALLBACK_SEED,
+    _MIX_SEED,
     Permutation,
+    _mix_weights,
     _normal_within,
     as_matrix,
     canonical_sort_indices,
@@ -436,6 +439,48 @@ class TestClusterMeans:
     def test_empty_and_real(self):
         assert cluster_means(np.array([], dtype=complex), []).shape == (0,)
         np.testing.assert_array_equal(cluster_means(np.array([1.0, 2.0, 4.0]), [[2], [0, 1]]), [4.0, 1.5])
+        # integers are summed as floats, as by mean: an int64 sum would wrap
+        big = np.full(3, 2**62)
+        assert cluster_means(big, [[0, 1, 2], [0], [1]]).tolist() == [big[[0, 1, 2]].mean(), 2.0**62, 2.0**62]
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        sizes=st.lists(st.integers(1, 40), min_size=1, max_size=12),
+        repeats=st.integers(0, 6),
+        zeros=st.floats(0.0, 1.0),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_bit_identical_property(self, seed, sizes, repeats, zeros):
+        # index lists of sizes 1-40, several of one size among them (the
+        # stacked path), across numpy's 8-wide pairwise-summation blocks,
+        # over parts that span 24 orders of magnitude or are signed zeros
+        rng = np.random.default_rng(seed)
+        n = 60
+        parts = rng.standard_normal((2, n)) * 10.0 ** rng.integers(-12, 13, (2, n))
+        parts[rng.random((2, n)) < zeros] = 0.0
+        parts = np.copysign(parts, rng.choice([-1.0, 1.0], (2, n)))
+        values = parts[0].astype(complex)
+        values.imag = parts[1]  # a sum with 1j * parts[1] would lose some signed zeros
+        sizes = sizes + rng.choice(sizes, repeats).tolist()
+        clusters = [rng.integers(0, n, k).tolist() for k in sizes]
+        want = [values[c].mean() for c in clusters]
+        assert bits(cluster_means(values, clusters)) == bits(want)
+
+
+class TestMixWeights:
+    @pytest.mark.parametrize("seed", [_MIX_SEED, _FALLBACK_SEED])
+    @pytest.mark.parametrize("count", range(1, 10))
+    def test_bytes_of_one_generator_per_call(self, seed, count):
+        want = np.random.default_rng(seed).standard_normal((count, 2)) @ (1, 1j)
+        got = _mix_weights(seed, count)
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+        assert _mix_weights(seed, count) is got
+
+    def test_read_only(self):
+        mu = _mix_weights(_MIX_SEED, 3)
+        assert not mu.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            mu[0] = 0
 
 
 def reference_sort_indices(values, gap):

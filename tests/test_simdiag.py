@@ -436,13 +436,17 @@ class TestInducedPair:
         assert np.array_equal(avec, want[0]) and np.array_equal(bvec, want[1])
         assert (coll, beta) == want[2:]
 
-    def test_shifted_matrix_is_the_per_block_expression(self, monkeypatch):
-        # AB + beta*A and beta*I are formed once, before the loop over A's
-        # blocks; each block's matrix must still be the one expression
-        # (AB + beta*A)/lam - beta*I, bit for bit
+    @pytest.mark.parametrize("a_vals", [
+        [2, 2, 2, 2, 2, 2],  # one block
+        [1, 1, 2j, 0, -1, -1],  # three nonzero blocks and the zero block
+        [1, 2, 3, 1j, -1, -2j],  # six blocks
+    ])
+    def test_two_eigensolves_whatever_the_block_count(self, monkeypatch, a_vals):
+        # eig(B), then eig(AB + beta*A) once: each block rescales the second
+        # by its own lambda instead of solving (AB + beta*A)/lambda - beta*I
         s = random_diagonalizer(np.random.default_rng(47), 6)
         s_inv = np.linalg.inv(s)
-        a = s @ np.diag([1, 1, 2j, 0, -1, -1]) @ s_inv
+        a = s @ np.diag(np.array(a_vals, dtype=complex)) @ s_inv
         b = s @ np.diag([1, 2, 2, 3, 1j, 3]) @ s_inv
         seen = []
         original = np.linalg.eigvals
@@ -453,14 +457,46 @@ class TestInducedPair:
 
         monkeypatch.setattr(np.linalg, "eigvals", recording)
         family = validate_family([a, b])
-        star = simultaneous_diagonalizer(family)
-        avec, _, _, beta = _induced_pair(family, star)
+        _, _, _, beta = _induced_pair(family, simultaneous_diagonalizer(family))
         amat, bmat = family.members
-        lams = [avec[lo] for lo, _ in star.levels[0] if abs(avec[lo]) > 1e-8]
-        assert len(lams) == 3 and len(seen) == 1 + len(lams)  # eig(B), then one per block
-        for lam, shifted in zip(lams, seen[1:]):
-            want = (amat @ bmat + beta * amat) / lam - beta * np.eye(6)
-            assert raw_bytes(shifted) == raw_bytes(want)
+        assert len(seen) == 2
+        assert raw_bytes(seen[0]) == raw_bytes(bmat)
+        assert raw_bytes(seen[1]) == raw_bytes(amat @ bmat + beta * amat)
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(3, 8),
+        distinct=st.booleans(),
+        log_cond=st.floats(0.0, 2.0),
+        log_scale=st.floats(-3.0, 3.0),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_recovers_the_planted_pairs(self, seed, n, distinct, log_cond, log_scale):
+        # A with distinct values or with repeated ones (a zero block among
+        # them), B with repeated ones, over S of condition at most 1e2, all
+        # at entry scale 1e-3 to 1e3; the recovered pairs are the planted
+        # ones, as a multiset
+        rng = np.random.default_rng(seed)
+        lattice = np.add.outer(np.arange(-2, 3), 1j * np.arange(-2, 3)).ravel()
+        if distinct:
+            a_idx = rng.choice(len(lattice), size=n, replace=False)
+        else:
+            a_idx = rng.choice(len(lattice), size=3, replace=False)[rng.integers(0, 3, n)]
+        b_idx = rng.choice(len(lattice), size=3, replace=False)[rng.integers(0, 3, n)]
+        scale = 10.0 ** log_scale
+        s = random_diagonalizer(rng, n, 10.0 ** log_cond)
+        s_inv = np.linalg.inv(s)
+        a = s @ np.diag(scale * lattice[a_idx]) @ s_inv
+        b = s @ np.diag(scale * lattice[b_idx]) @ s_inv
+        avec, bvec, _, _ = induced_pair_without_diagonalizer(a, b)
+
+        def nearest(values):
+            dist = np.abs(values[:, None] / scale - lattice)
+            assert dist.min(axis=1).max() < 1e-6
+            return dist.argmin(axis=1).tolist()
+
+        got = sorted(zip(nearest(avec), nearest(bvec)))
+        assert got == sorted(zip(a_idx.tolist(), b_idx.tolist()))
 
     def test_multiple_zero_blocks_rejected(self):
         # at a zero threshold of 1 both blocks 0 and 0.5 count as zero
