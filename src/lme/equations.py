@@ -307,7 +307,8 @@ def x_hat(spec: EquationSpec, tol: Tolerances = DEFAULT) -> np.ndarray:
     coefficient sum that vanishes up to rounding is treated as the zero
     matrix instead of being inverted.  Under the hypothesis the sum has
     index at most one, and ``geninv.drazin`` takes it as the group inverse
-    from one SVD; the Schur split serves only sums of index two or more.
+    from the SVDs of the sum and, if singular, of its r×r G F; the Schur
+    split serves only sums of index two or more.
     """
     scale = float(sum(fro(a) * fro(b) for a, b in zip(spec.a_list, spec.b_list)))
     return geninv.drazin(coefficient_sum(spec), tol.zero, tol.rank, scale=scale) @ spec.rhs
@@ -550,8 +551,8 @@ def solve_stein(a, b, c, tol: Tolerances = DEFAULT) -> AffineSolutionSet:
 def lyapunov_gate(a, c, tol: Tolerances = DEFAULT):
     """Raise unless A is normal and C Hermitian (the Lyapunov preconditions);
     return both as validated square matrices.  When the Frobenius norm of A
-    or its normality residual ||A A* - A* A||_F overflows, this raises
-    NonFiniteError naming A before normality is decided."""
+    overflows, this raises NonFiniteError naming A before normality is
+    decided."""
     a = require_square(as_matrix(a, "A"), "A")
     c = require_square(as_matrix(c, "C"), "C")
     if a.shape != c.shape:
@@ -561,9 +562,6 @@ def lyapunov_gate(a, c, tol: Tolerances = DEFAULT):
         if not math.isfinite(fro(a)):
             raise NonFiniteError("A has a Frobenius norm that overflows")
         if not is_normal(a, tol.commute):
-            h = a.conj().T
-            if not math.isfinite(fro(a @ h - h @ a)):
-                raise NonFiniteError("the normality residual of A overflows")
             raise NotNormalError("A must be a normal matrix")
         if fro(c - c.conj().T) > tol.commute * max(1.0, fro(c)):
             raise NotHermitianRhsError("C must be Hermitian")

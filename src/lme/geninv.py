@@ -1,26 +1,24 @@
 """Generalized inverses: Moore-Penrose, Drazin, group inverse, matrix index.
 
-``drazin`` and ``group_inverse`` run the index loop first, the only code
-that forms powers of A, from the full SVD A = U S V^H.  At index at most one
-the group inverse is read off that SVD: with F = U_r S_r and G = V_r^H,
-A^# = F (G F)^{-2} G (Cline 1968), which covers the coefficient sums of
-commuting diagonalizable families.  At index two or more, or where Cline
-gives way, the core-nilpotent split runs: a complex Schur form reordered by
-LAPACK ``trsen`` and a triangular Sylvester solve by LAPACK ``trsyl``, of
-which ``drazin`` inverts only the core block.  ``core_nilpotent`` runs the
-split alone.
+The index and the core size are read off a rank staircase of SVDs
+(``_staircase``; Kågström & Ruhe 1980, Golub & Wilkinson 1976), and no
+power of A is formed.  ``drazin`` and ``group_inverse`` take the full SVD
+A = U S V^H as its step 0.  At index at most one the group inverse is
+Cline's F (G F)^{-2} G (1968), F = U_r S_r and G = V_r^H, and step 1, the
+SVD of that r×r G F, decides the index: one SVD for an invertible
+coefficient sum, two for a singular one.  Elsewhere the core-nilpotent split
+runs: one complex Schur form reordered by LAPACK ``trsen`` and a triangular
+Sylvester solve by ``trsyl``, of which ``drazin`` inverts only the core.
 
-The split is the package's only use of scipy and imports ``scipy.linalg``
-when it first runs.  Importing lme, solving, ``check_consistent``, the CLI's
-reports, the oracle and pair recovery never load scipy; ``core_nilpotent``
-and a Drazin inverse of index two or more do.
+The split is the package's only use of scipy, imported when it first runs:
+``core_nilpotent`` loads it, and so does a Drazin inverse of index two or
+more or where Cline gives way; ``index`` and the solve path never do.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -65,10 +63,8 @@ def matrix_rank(a, tol_rank: float = TOL_RANK, scale: float | None = None) -> in
 
 def _count_rank(s: np.ndarray, tol_rank: float, scale: float | None = None) -> int:
     """The count of ``matrix_rank`` from the descending singular values ``s``."""
-    if not s.size:
-        return 0
-    _require_finite(s[0], "the largest singular value")
-    return int(np.count_nonzero(s > tol_rank * (s[0] if scale is None else scale)))
+    ref = _require_finite(s[0], "the largest singular value") if s.size else 0.0
+    return int(np.count_nonzero(s > tol_rank * (ref if scale is None else scale)))
 
 
 def _require_finite(value: float, what: str) -> float:
@@ -80,28 +76,27 @@ def _require_finite(value: float, what: str) -> float:
 
 
 def index(a, tol_rank: float = TOL_RANK) -> int:
-    """Least q >= 0 with rank(A^{q+1}) = rank(A^q)."""
-    return [*_index_loop(require_square(as_matrix(a)), tol_rank)][-1][0]
+    """Least q >= 0 with rank(A^{q+1}) = rank(A^q), read off the staircase."""
+    return _staircase(require_square(as_matrix(a)), 0, tol_rank)[1]
 
 
-def _index_loop(m: np.ndarray, tol_rank: float, s: np.ndarray | None = None):
-    """Yield (q, rank(A^(q+1)), done) for q = 0, 1, ... of a validated square
-    matrix, done when rank(A^(q+1)) = rank(A^q), q being the ``index``, or
-    q = n.  Each step forms one more power, only when asked for.  rank(A)
-    comes from ``s``, the full SVD's values in ``drazin`` and
-    ``group_inverse``, else a values-only SVD's (``index``,
-    ``core_nilpotent``); the two may differ in the last bits, and so count
-    a singular value at tol_rank * sigma_max apart."""
-    n = m.shape[0]
-    s = np.linalg.svd(m, compute_uv=False) if s is None else s
-    q, prev, rank, power = 0, n, _count_rank(s, tol_rank), m
-    while rank != prev and q < n:
-        yield q, rank, False
-        # an overflowing power is reported by a NonFiniteError naming it
-        with np.errstate(over="ignore", invalid="ignore"):
-            power = power @ m
-        q, prev, rank = q + 1, rank, matrix_rank(as_matrix(power, f"A^{q + 2}"), tol_rank)
-    yield q, rank, True
+def _staircase(m: np.ndarray, q: int, tol_rank: float, ref: float | None = None, stop: int | None = None):
+    """The rank staircase from the state (M_q, q), M_0 = A: while the SVD
+    M = U S V^H has rank r below its size, counted against tol_rank * ref,
+    ref = sigma_max(A) (read at step 0 when None), M becomes the r×r
+    V_r^H M V_r = G F with F = U_r S_r, G = V_r^H, and q counts the step.
+    As A^(q+1) = F_0 ... F_(q-1) M_q G_(q-1) ... G_0 with full-rank factors,
+    M_q has size rank(A^q) and rank rank(A^(q+1)).  Returns the state at the
+    first M of full rank, q the index and its size the core size, or,
+    untested, at step ``stop``."""
+    while m.size and q != stop:
+        u, s, vh = np.linalg.svd(m)
+        ref = s[0] if ref is None else ref
+        r = _count_rank(s, tol_rank, ref)
+        if r == len(s):
+            break
+        m, q = vh[:r] @ (u[:, :r] * s[:r]), q + 1
+    return m, q
 
 
 @dataclass(frozen=True)
@@ -121,27 +116,14 @@ def _zero_threshold(m: np.ndarray, tol_zero: float, scale: float | None) -> floa
     return tol_zero * max(1.0, ref)
 
 
-def _group_inverse_by_svd(u: np.ndarray, s: np.ndarray, vh: np.ndarray, r: int, thresh: float):
-    """F (G F)^{-2} G with F = U_r S_r and G = V_r^H, from the SVD A = U S V^H
-    of a matrix of index at most one and rank r, or None where it cannot be
-    sure to decide as ``_split`` would: when |det(G F)|^{1/r}, a lower bound
-    on the spectral radius, is at or below the zero threshold ``thresh``."""
-    f = u[:, :r] * s[:r]
-    g = vh[:r]
-    gf = g @ f
-    if math.exp(np.linalg.slogdet(gf)[1] / r) <= thresh:
-        return None
-    return f @ np.linalg.solve(gf, np.linalg.solve(gf, g))
-
-
-def _split(m: np.ndarray, thresh: float, steps):
+def _split(m: np.ndarray, thresh: float, core_size):
     """(Z, B, N, k, R) with Z unitary and A = Z [[I, R], [0, I]] (B ⊕ N) [[I, -R], [0, I]] Z^H,
     from one complex Schur form A = Z T Z^H.
 
     k is 0 when every |T_ii| is at or below the zero threshold ``thresh``,
-    else the rank in the last of ``steps``, the rest of an index loop.  A
-    cutoff in the gap of diag(T) picks the k core eigenvalues for ``ztrsen``
-    (a defective zero cluster of size q scatters to about eps^(1/q)), and
+    else ``core_size()``, which the staircase answers only then.  A cutoff in
+    the gap of diag(T) picks the k core eigenvalues for ``ztrsen`` (a
+    defective zero cluster of size q scatters to about eps^(1/q)), and
     ``ztrsyl`` solves B R - R N = -T12.  Nilpotent diagonal entries at or
     below the threshold are zeroed: exact inputs give exactly nilpotent N."""
     import scipy.linalg  # here, not at the top: it would be most of `import lme`
@@ -149,7 +131,7 @@ def _split(m: np.ndarray, thresh: float, steps):
     n = m.shape[0]
     t, z = scipy.linalg.schur(m, output="complex")
     moduli = np.abs(np.diag(t))
-    k = 0 if n and moduli.max() <= thresh else [*steps][-1][1]  # all nilpotent: no rank test needed
+    k = 0 if n and moduli.max() <= thresh else core_size()  # all nilpotent: no rank test needed
     if 0 < k < n:
         hi, lo = np.sort(moduli)[::-1][k - 1 : k + 1]
         if hi > 2.0 * lo:
@@ -186,7 +168,8 @@ def core_nilpotent(
     rather than inverted.  An overflowing Frobenius norm or a ``scale`` that
     is not finite raises ``NonFiniteError``."""
     m = require_square(as_matrix(a))
-    z, core, nil, k, r = _split(m, _zero_threshold(m, tol_zero, scale), _index_loop(m, tol_rank))
+    thresh = _zero_threshold(m, tol_zero, scale)
+    z, core, nil, k, r = _split(m, thresh, lambda: len(_staircase(m, 0, tol_rank)[0]))
     if r.any():
         upper = np.eye(z.shape[0], dtype=complex)
         upper[:k, k:] = r
@@ -200,26 +183,40 @@ def _inverse_of_split(z, core, _, k, r) -> np.ndarray:
 
 
 def _drazin(m: np.ndarray, tol_zero: float, tol_rank: float, scale: float | None, group: bool) -> np.ndarray:
-    """``drazin``, or with ``group`` ``group_inverse`` (which runs the loop to
-    its end and rejects index > 1 first), of a validated square matrix.  A
-    sigma_max at or below the zero threshold bounds every eigenvalue modulus,
-    so the inverse is zero.  The split reads its Schur diagonal before the
-    loop goes on past A^2, so an all-nilpotent A forms no further power."""
+    """``drazin``, or with ``group`` ``group_inverse`` (which runs the
+    staircase to its end and rejects index > 1 first), of a validated square
+    matrix.  A sigma_max at or below the zero threshold bounds every
+    eigenvalue modulus, so the inverse is zero.  Cline's formula needs no
+    dropped singular value above the threshold, index <= 1 and
+    |det(G F)|^{1/r}, a lower bound on the spectral radius, above it."""
     n = m.shape[0]
     u, s, vh = np.linalg.svd(m)
-    loop = _index_loop(m, tol_rank, s)
-    step = [*loop][-1] if group else None
-    if step and step[0] > 1:
-        raise IndexTooLargeError(f"matrix has index {step[0]}, group inverse needs index <= 1")
+    ref = s[0] if n else 0.0
+    # counted without _count_rank's check: an infinite ref is reported below,
+    # by group_inverse's staircase or after drazin's zero-threshold reference
+    r = int(np.count_nonzero(s > tol_rank * ref))
+    f, g = u[:, :r] * s[:r], vh[:r]
+    gf = g @ f
+    stair = (gf, 1) if r < n else None  # M_1, untested; None once the core size r is known
+    if group and stair:
+        q = _staircase(*stair, tol_rank, _require_finite(ref, "the largest singular value"))[1]
+        if q > 1:
+            raise IndexTooLargeError(f"matrix has index {q}, group inverse needs index <= 1")
+        stair = None
     thresh = _zero_threshold(m, tol_zero, scale)
-    if not n or _require_finite(s[0], "the largest singular value") <= thresh:
+    if _require_finite(ref, "the largest singular value") <= thresh:  # n = 0 too
         return np.zeros((n, n), dtype=complex)
-    q, r, done = step or next(loop)
     cline = r == n or s[r] <= thresh  # no dropped singular value above it (r = 0 drops all)
-    if cline and not done:
-        q, r, done = next(loop)  # rank(A^2): index 1, or 2 or more
-    x = _group_inverse_by_svd(u, s, vh, r, thresh) if cline and done else None
-    return _inverse_of_split(*_split(m, thresh, chain([(q, r, done)], loop))) if x is None else x
+    if cline and stair:
+        m2, q = _staircase(*stair, tol_rank, ref, stop=2)  # index 1 at step 1, or 2 or more
+        stair = (m2, q) if q == 2 else None
+    if cline and not stair and math.exp(np.linalg.slogdet(gf)[1] / r) > thresh:
+        return f @ np.linalg.solve(gf, np.linalg.solve(gf, g))
+
+    def core_size() -> int:  # asked only when the Schur diagonal is not all at or below thresh
+        return len(_staircase(*stair, tol_rank, ref)[0]) if stair else r
+
+    return _inverse_of_split(*_split(m, thresh, core_size))
 
 
 def drazin(
@@ -228,14 +225,14 @@ def drazin(
     tol_rank: float = TOL_RANK,
     scale: float | None = None,
 ) -> np.ndarray:
-    """Drazin inverse: the index loop, then Cline's formula from its SVD at
-    index <= 1, or else ``_split``, inverting only the k×k core; ``scale`` is
-    as in ``core_nilpotent``."""
+    """Drazin inverse: Cline's formula from the staircase's first two steps
+    at index <= 1, or else ``_split``, inverting only the k×k core; ``scale``
+    is as in ``core_nilpotent``."""
     return _drazin(require_square(as_matrix(a)), tol_zero, tol_rank, scale, False)
 
 
 def group_inverse(a, tol_rank: float = TOL_RANK, tol_zero: float = TOL_ZERO) -> np.ndarray:
     """Drazin inverse restricted to matrices of index at most one: as
-    ``drazin``, but the index loop runs to its end first and index > 1
+    ``drazin``, but the staircase runs to its end first and index > 1
     raises ``IndexTooLargeError``, even for an A below the zero threshold."""
     return _drazin(require_square(as_matrix(a)), tol_zero, tol_rank, None, True)

@@ -397,19 +397,18 @@ def _commutes_within(a: np.ndarray, b: np.ndarray, tol: float, norm_a: float, no
 def is_normal(m, tol: float = TOL_COMMUTE) -> bool:
     """True iff M commutes with M* within ``tol``: the test of ``commutes``,
     ||M M* - M* M||_F <= tol * max(1, ||M||_F ||M*||_F), where
-    ||M*||_F = ||M||_F."""
+    ||M*||_F = ||M||_F, taken as ``_normal_within`` takes it."""
     a = require_square(as_matrix(m))
-    norm = fro(a)
-    return _commutes_within(a, a.conj().T, tol, norm, norm)
+    return _normal_within(a, tol, fro(a))
 
 
 def _normal_within(m: np.ndarray, tol: float, norm: float) -> bool:
     """``is_normal``'s test on a validated square matrix of Frobenius norm
     ``norm``, taken on M 2^-e, e = floor(log2 ||M||_F), when ||M||_F > 1.
     Scaling by a power of two is exact, and so is every figure of the test
-    after it, scaled by 2^-2e, so the verdict is ``is_normal``'s wherever
-    that one's residual does not overflow; beyond, a normal M still passes,
-    where ``is_normal`` reads an infinite residual as not normal."""
+    after it, scaled by 2^-2e, so the verdict is the unscaled formula's
+    wherever that one's residual does not overflow; beyond, a normal M still
+    passes, where the unscaled residual would read infinite."""
     if norm > 1.0:
         e = math.frexp(norm)[1] - 1
         m = m * math.ldexp(1.0, -e)

@@ -133,6 +133,22 @@ class TestXHat:
     def test_stein_jordan_vanishes(self):
         assert np.abs(x_hat(stein_jordan_spec())).max() < 1e-12
 
+    def test_singular_sum_takes_two_svds(self, monkeypatch):
+        # the sum W, then the r×r G F of its rank-r factors: no W @ W is ranked
+        spec, _ = random_equation_instance(np.random.default_rng(61), 8, 2, zero_diag_rows=2)
+        r = lme.geninv.matrix_rank(lme.coefficient_sum(spec))
+        assert r < 8
+        shapes = []
+        original = np.linalg.svd
+
+        def factored(x, *args, **kwargs):
+            shapes.append(x.shape)
+            return original(x, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", factored)
+        x_hat(spec)
+        assert shapes == [(8, 8), (r, r)]
+
     def test_stein_noncommuting_vanishes(self):
         assert np.abs(x_hat(stein_noncommuting_spec())).max() < 1e-12
 
@@ -353,11 +369,25 @@ class TestDegenerateAndOverflowingEquations:
         # A is normal, but A A* overflows and its normality residual read nan
         with pytest.raises(NonFiniteError, match="^A has a Frobenius norm that overflows$"):
             solver(np.diag([1, 2, 3]) * 1e160, I3)
-        # a finite norm whose residual ||A A* - A* A||_F overflows
-        with pytest.raises(NonFiniteError, match="^the normality residual of A overflows$"):
+        # a finite norm: the scaled residual decides, and a Jordan block is not normal
+        with pytest.raises(NotNormalError, match="^A must be a normal matrix$"):
             solver(JORDAN * 1e100, I2)
         # a normal A at that scale passes the gate
         assert solver(np.diag([1, 2]) * 1e100, I2).consistent
+
+    @pytest.mark.filterwarnings("error:overflow encountered")
+    def test_normal_non_diagonal_a_at_large_scale_passes_the_gate(self):
+        # A A* - A* A has rounding entries of about 1e184, whose unscaled norm
+        # overflows; the power-of-two-scaled test reads A as normal.  The
+        # family's exact commutation test of A* with A overflows next, and
+        # reports it as the input error it reports for any such pair
+        u = haar_unitary(np.random.default_rng(0), 3)
+        a = 1e100 * (u * np.array([1.0, 2.0, 3.0])) @ u.conj().T
+        assert is_normal(a)
+        gated, _ = lyapunov_gate(a, I3)
+        assert np.array_equal(gated, a)
+        with pytest.raises(NonFiniteError, match="^the commutator of A\\[0\\] and B\\[1\\] overflows$"):
+            solve_continuous_lyapunov(a, I3)
 
     def test_large_finite_norms_still_solve(self):
         # at 1e150 the squared Frobenius norm, about 1.4e301, stays finite

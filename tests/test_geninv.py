@@ -11,7 +11,7 @@ from lme.equations import coefficient_sum
 from lme.errors import IndexTooLargeError, NonFiniteError, NonSquareError
 from lme.geninv import (
     CoreNilpotentDecomposition,
-    _index_loop,
+    _staircase,
     _inverse_of_split,
     _require_finite,
     _split,
@@ -259,8 +259,8 @@ class TestGroupInverse:
     def test_one_index_loop_and_no_schur_form(self, monkeypatch):
         calls = spy(monkeypatch, (np.linalg, "svd"), (scipy.linalg, "schur"))
         group_inverse(np.diag([1.0, 2.0, 0.0]))
-        # the loop factors A, which Cline's formula reuses, and ranks A^2; a
-        # second loop, or a second factorization of A, would add SVDs
+        # the staircase factors A, which Cline's formula reuses, and then its
+        # G F; a second staircase, or a second factorization of A, would add SVDs
         assert calls == {"svd": 2, "schur": 0}
 
     def test_bitwise_the_drazin_inverse_at_index_at_most_one(self):
@@ -326,14 +326,14 @@ class TestOverflowingInputs:
             core_nilpotent(np.eye(2), scale=np.inf)
 
     def test_index_power(self):
-        # A itself is fine (rank 1 of 2); A^2 overflows inside the index loop
-        with pytest.raises(NonFiniteError):
-            index(np.array([[1e200, 1e200], [0.0, 0.0]]))
+        # A^2 would overflow; the staircase's G F is the 1×1 matrix [1e200]
+        assert index(np.array([[1e200, 1e200], [0.0, 0.0]])) == 1
 
 
 def reference_core_nilpotent(a, tol_zero=TOL_ZERO, tol_rank=TOL_RANK, scale=None):
     """The split as computed before one Schur form fed it: ``eigvals`` for
-    the cutoff, a plain or a sorted Schur form, then ``solve_sylvester``."""
+    the cutoff, a plain or a sorted Schur form, then ``solve_sylvester``,
+    with the core size of the staircase."""
     m = np.asarray(a, dtype=complex)
     n = m.shape[0]
     base = max(1.0, fro(m)) if scale is None else max(1.0, scale)
@@ -342,7 +342,7 @@ def reference_core_nilpotent(a, tol_zero=TOL_ZERO, tol_rank=TOL_RANK, scale=None
     if n and np.max(np.abs(eigs)) <= thresh:
         core_size = 0
     else:
-        core_size = branch_first_index_and_rank(m, tol_rank)[1]
+        core_size = len(_staircase(m, 0, tol_rank)[0])
     if core_size in (0, n):
         t, z = scipy.linalg.schur(m, output="complex")
         k = core_size
@@ -417,7 +417,7 @@ class TestOneSchurFormAgainstReference:
 
     def test_no_gap_branch(self):
         m = no_gap_input().astype(complex)
-        k = [*_index_loop(m, 0.7)][-1][1]
+        k = len(_staircase(m, 0, 0.7)[0])
         moduli = np.sort(np.abs(np.linalg.eigvals(m)))[::-1]
         assert k == 1 and moduli[0] <= 2.0 * moduli[1]  # the branch is reached
         assert core_nilpotent(m, tol_rank=0.7).core_size == 2
@@ -515,11 +515,10 @@ def conditioned_similarity(rng, n, log_cond):
 
 @st.composite
 def indexed_matrices(draw, indices=st.integers(0, 3)):
-    """Index 0-3, cond(S) up to 1e4, scale 1e-6 to 1e6.  The core keeps at
-    least one eigenvalue at index 2 and two at index 3: with less, the rank
-    test on powers misreads the core size (CHANGES.md)."""
+    """Index 0-3, cores of size 0-4 (at index 0, size 0 is the empty
+    matrix), cond(S) up to 1e4, scale 1e-6 to 1e6."""
     q = draw(indices)
-    core_size = draw(st.integers((1, 0, 1, 2)[q], 4))
+    core_size = draw(st.integers(0, 4))
     log_cond = draw(st.floats(0.0, 4.0))
     log_scale = draw(st.floats(-6.0, 6.0))
     seed = draw(st.integers(0, 2**32 - 1))
@@ -541,7 +540,7 @@ class TestDrazinUnderConditioning:
         s = dec.similarity
         # nilpotent diagonals below the zero threshold are zeroed: allow 100 thresholds
         recon = fro(s @ full @ np.linalg.inv(s) - a)
-        assert recon <= 100 * TOL_ZERO * max(1.0, na) * np.linalg.cond(s)
+        assert recon <= 100 * TOL_ZERO * max(1.0, na) * (np.linalg.cond(s) if n else 1.0)
         if q:
             assert fro(np.linalg.matrix_power(dec.nilpotent, q)) <= 1e-10 * na**q
         d = drazin(a)
@@ -555,7 +554,8 @@ class TestDrazinUnderConditioning:
 
 def schur_drazin(m, tol_rank=TOL_RANK):
     """The Drazin inverse from the core-nilpotent split alone."""
-    return _inverse_of_split(*_split(m, _zero_threshold(m, TOL_ZERO, None), _index_loop(m, tol_rank)))
+    thresh = _zero_threshold(m, TOL_ZERO, None)
+    return _inverse_of_split(*_split(m, thresh, lambda: len(_staircase(m, 0, tol_rank)[0])))
 
 
 def planted_group(seed, n, core_size, log_cond, log_scale):
@@ -621,11 +621,10 @@ class TestGroupInverseBySvd:
         assert np.array_equal(got, schur_drazin(a))
 
     def test_all_nilpotent_below_the_zero_threshold(self, monkeypatch):
-        def no_loop(*args):
-            raise AssertionError("the index loop ran")
-            yield  # a generator, as the loop is: it runs only when advanced
+        def no_staircase(*args, **kwargs):
+            raise AssertionError("the staircase ran")
 
-        monkeypatch.setattr(lme.geninv, "_index_loop", no_loop)
+        monkeypatch.setattr(lme.geninv, "_staircase", no_staircase)
         for m in (np.zeros((3, 3), dtype=complex), 1e-12 * NILP, np.zeros((0, 0), dtype=complex)):
             got = drazin(m)
             assert got.shape == m.shape and got.dtype == complex and not got.any()
@@ -637,15 +636,17 @@ def shift(n):
 
 
 class TestOrderOfDecisions:
-    """The zero shortcut of ``drazin`` comes before any power of A, the index
-    check of ``group_inverse`` before the zero shortcut, Cline's dropped
-    singular value test before A^2, the split's Schur diagonal before A^3,
-    and one index loop serves Cline's formula and the split."""
+    """The zero shortcut of ``drazin`` comes before the staircase's step 1,
+    the index check of ``group_inverse`` before the zero shortcut, Cline's
+    dropped singular value test before step 1, the split's Schur diagonal
+    before step 2, and one staircase serves Cline's formula and the split."""
 
-    def test_drazin_zero_shortcut_precedes_any_power(self):
-        # A^2 would overflow; A is below the zero threshold of its scale
+    def test_drazin_zero_shortcut_precedes_any_power(self, monkeypatch):
+        # A is below the zero threshold of its scale
+        calls = spy(monkeypatch, (lme.geninv, "_staircase"))
         got = drazin(1e160 * np.diag([1.0, 0.0]), scale=1e175)
         assert got.shape == (2, 2) and not got.any()
+        assert calls == {"_staircase": 0}
 
     def test_group_inverse_index_check_precedes_the_zero_shortcut(self):
         with pytest.raises(IndexTooLargeError, match="^matrix has index 2, group inverse needs index <= 1$"):
@@ -655,37 +656,39 @@ class TestOrderOfDecisions:
         a = random_index2(np.random.default_rng(0), 64)
         calls = spy(monkeypatch, (np.linalg, "svd"), (scipy.linalg, "schur"))
         drazin(a)
-        # the loop factors A and ranks A^2 and A^3; the split reuses its core size
+        # the staircase factors A, its 63×63 G F and that one's 62×62
+        # compression; the split reuses its core size
         assert calls == {"svd": 3, "schur": 1}
 
     def test_nilpotent_shift_takes_two_svds_and_one_schur_form(self, monkeypatch):
         calls = spy(monkeypatch, (np.linalg, "svd"), (scipy.linalg, "schur"))
         got = drazin(shift(64))
-        # A and A^2 are ranked; the Schur diagonal then reads A as nilpotent,
-        # so A^3 ... A^64 are never formed
+        # A and its G F are factored; the Schur diagonal then reads A as
+        # nilpotent, so the staircase stops at step 1, not 63 steps later
         assert calls == {"svd": 2, "schur": 1}
         assert got.shape == (64, 64) and not got.any()
 
     def test_schur_diagonal_precedes_an_overflowing_cube(self):
-        # index 4: A^2 is finite, A^3 overflows.  The Schur diagonal reads A
-        # as nilpotent before the loop goes on, in drazin as in core_nilpotent;
-        # index needs the power and raises, naming it
+        # index 4, where A^3 would overflow.  The Schur diagonal reads A as
+        # nilpotent in drazin as in core_nilpotent; index reads the staircase,
+        # whose blocks stay at the scale of A
         a = 1e150 * np.triu(np.ones((4, 4)), 1)
         got = drazin(a)
         assert got.shape == (4, 4) and not got.any()
         assert core_nilpotent(a).core_size == 0
-        with pytest.raises(NonFiniteError, match=r"^A\^3 contains non-finite entries$"):
-            index(a)
+        assert index(a) == 4
 
-    def test_dropped_singular_value_precedes_an_overflowing_square(self):
-        # nilpotent, singular values 1e160, 1e160, 1e159, 0, 0: at tol_rank
-        # 0.5 rank(A) is 2 and 1e159 is a dropped value above the threshold,
-        # so Cline gives way before A^2, which overflows, is formed
+    def test_dropped_singular_value_precedes_an_overflowing_square(self, monkeypatch):
+        # nilpotent, singular values 1e160, 1e160, 1e159, 0, 0, and A^2 would
+        # overflow: at tol_rank 0.5 rank(A) is 2 and 1e159 is a dropped value
+        # above the threshold, so Cline gives way before step 1; at the
+        # default rank(A) is 3, no value is dropped, and step 1 reads index 2
         a = 1e160 * scipy.linalg.block_diag(shift(3), 0.1 * shift(2))
-        got = drazin(a, tol_rank=0.5, scale=1e160)
-        assert got.shape == (5, 5) and not got.any()
-        with pytest.raises(NonFiniteError):
-            drazin(a, scale=1e160)  # rank(A) is 3, no value is dropped: A^2 is ranked
+        for tol_rank, steps in ((0.5, 0), (TOL_RANK, 1)):
+            calls = spy(monkeypatch, (lme.geninv, "_staircase"))
+            got = drazin(a, tol_rank=tol_rank, scale=1e160)
+            assert got.shape == (5, 5) and not got.any()
+            assert calls == {"_staircase": steps}
 
 
 def branch_first_index_and_rank(m, tol_rank):
@@ -704,19 +707,24 @@ def branch_first_index_and_rank(m, tol_rank):
     return n, prev
 
 
-def branch_first_steps(m, thresh, tol_rank):
-    """The one step ``_split`` reads: core size 0 where the Schur diagonal is
-    at or below ``thresh``, else the copied loop's result.  The split's own
-    loop ran only in the second case, so this one reads a Schur form itself
-    before it runs the loop, whenever ``_split`` asks."""
-    if m.shape[0] and np.abs(np.diag(scipy.linalg.schur(m, output="complex")[0])).max() <= thresh:
-        yield 0, 0, True
-        return
-    q, rank = branch_first_index_and_rank(m, tol_rank)
-    yield q, rank, True
+def power_rank_of_square(m, tol_rank):
+    with np.errstate(over="ignore", invalid="ignore"):  # as_matrix reports an overflow
+        return matrix_rank(as_matrix(m @ m, "A^2"), tol_rank)
 
 
-def branch_first_cline(m, tol_zero, tol_rank, scale, core_size):
+def staircase_index_and_rank(m, tol_rank):
+    """(index, core size) read off the staircase."""
+    block, q = _staircase(m, 0, tol_rank)
+    return q, len(block)
+
+
+# How the reference decides: the index and the rank of A^index, and a rank
+# that equals rank(A) exactly at index <= 1 (rank(A^2), or the core size)
+POWERS = (branch_first_index_and_rank, power_rank_of_square)
+STAIRCASE = (staircase_index_and_rank, lambda m, tol_rank: staircase_index_and_rank(m, tol_rank)[1])
+
+
+def branch_first_cline(m, tol_zero, tol_rank, scale, core_size, decide=POWERS):
     """Cline's formula tried from its own SVD, with its own rank(A^2) test
     unless the caller ran the index loop and passes ``core_size``."""
     n = m.shape[0]
@@ -728,8 +736,7 @@ def branch_first_cline(m, tol_zero, tol_rank, scale, core_size):
     if r < n and s[r] > thresh:
         return None
     if r < n and core_size is None:
-        with np.errstate(over="ignore", invalid="ignore"):  # as_matrix reports an overflow
-            core_size = matrix_rank(as_matrix(m @ m, "A^2"), tol_rank)
+        core_size = decide[1](m, tol_rank)
     if r < n and core_size != r:
         return None
     f = u[:, :r] * s[:r]
@@ -740,26 +747,26 @@ def branch_first_cline(m, tol_zero, tol_rank, scale, core_size):
     return f @ np.linalg.solve(gf, np.linalg.solve(gf, g))
 
 
-def branch_first_drazin(m, tol_zero=TOL_ZERO, tol_rank=TOL_RANK, scale=None):
+def branch_first_drazin(m, tol_zero=TOL_ZERO, tol_rank=TOL_RANK, scale=None, decide=POWERS):
     """Cline's formula first, then the split, which runs its own index loop
     unless its Schur diagonal reads A as nilpotent."""
     m = np.asarray(m, dtype=complex)
-    x = branch_first_cline(m, tol_zero, tol_rank, scale, None)
+    x = branch_first_cline(m, tol_zero, tol_rank, scale, None, decide)
     if x is None:
         thresh = _zero_threshold(m, tol_zero, scale)
-        x = _inverse_of_split(*_split(m, thresh, branch_first_steps(m, thresh, tol_rank)))
+        x = _inverse_of_split(*_split(m, thresh, lambda: decide[0](m, tol_rank)[1]))
     return x
 
 
-def branch_first_group_inverse(m, tol_rank=TOL_RANK, tol_zero=TOL_ZERO):
+def branch_first_group_inverse(m, tol_rank=TOL_RANK, tol_zero=TOL_ZERO, decide=POWERS):
     """The index loop, its check, then Cline's formula and the split with the loop's rank."""
     m = np.asarray(m, dtype=complex)
-    q, rank = branch_first_index_and_rank(m, tol_rank)
+    q, rank = decide[0](m, tol_rank)
     if q > 1:
         raise IndexTooLargeError(f"matrix has index {q}, group inverse needs index <= 1")
-    x = branch_first_cline(m, tol_zero, tol_rank, None, rank)
+    x = branch_first_cline(m, tol_zero, tol_rank, None, rank, decide)
     if x is None:
-        x = _inverse_of_split(*_split(m, _zero_threshold(m, tol_zero, None), [(q, rank, True)]))
+        x = _inverse_of_split(*_split(m, _zero_threshold(m, tol_zero, None), lambda: rank))
     return x
 
 
@@ -772,40 +779,64 @@ def outcome(f, *args, **kwargs):
     return x.dtype, x.shape, x.tobytes()
 
 
+# (index, core size) of each fixed input of ``reference_inputs``
+FIXED_INPUTS = [
+    (0, 0, np.zeros((0, 0))),
+    (1, 0, np.zeros((3, 3))),
+    (2, 0, NILP),
+    (2, 0, 1e-12 * NILP),
+    (2, 0, JORDAN - np.eye(2)),
+]
+
+
 @st.composite
 def reference_inputs(draw, log_scales=st.floats(-6.0, 6.0)):
-    """Planted index 0-3 with n <= 12, cond(S) <= 1e4 and scale 1e-6 to 1e6,
-    cores of any size down to none (all nilpotent), or one of the fixed
-    size-0 and all-nilpotent matrices."""
+    """(index, core size, A): planted index 0-3 with n <= 12, cond(S) <= 1e4
+    and scale 1e-6 to 1e6, cores of any size down to none (all nilpotent),
+    or one of the fixed size-0 and all-nilpotent matrices."""
     if draw(st.integers(0, 9)) == 0:
-        return draw(st.sampled_from([np.zeros((0, 0)), np.zeros((3, 3)), NILP, 1e-12 * NILP, JORDAN - np.eye(2)]))
+        return draw(st.sampled_from(FIXED_INPUTS))
     q = draw(st.integers(0, 3))
     core_size = draw(st.integers(1 if q == 0 else 0, 12 - q))
     log_cond, log_scale = draw(st.floats(0.0, 4.0)), draw(log_scales)
-    return planted_index(draw(st.integers(0, 2**32 - 1)), q, core_size, log_cond, log_scale)
+    return q, core_size, planted_index(draw(st.integers(0, 2**32 - 1)), q, core_size, log_cond, log_scale)
 
 
 @st.composite
 def overflowing_inputs(draw):
-    """Planted inputs, or strictly upper triangular (all nilpotent) ones with
-    n <= 8, at scale 1e60 to 1e160, where some power of A, or ||A||_F, overflows."""
+    """Planted inputs, or strictly upper triangular (all nilpotent, index n)
+    ones with n <= 8, at scale 1e60 to 1e160, where some power of A, or
+    ||A||_F, overflows."""
     log_scale = st.floats(60.0, 160.0)
     if draw(st.booleans()):
         return draw(reference_inputs(log_scale))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n = draw(st.integers(1, 8))
-    return 10.0 ** draw(log_scale) * np.triu(rng.standard_normal((n, n)), 1)
+    return n, 0, 10.0 ** draw(log_scale) * np.triu(rng.standard_normal((n, n)), 1)
 
 
-def assert_same_outcomes(a, tol_rank, scale):
-    want = outcome(branch_first_drazin, a, tol_rank=tol_rank, scale=scale)
+def assert_same_outcomes(drawn, tol_rank, scale):
+    """Bitwise the reference's outcomes where its powers decide as the
+    staircase does; elsewhere, the reference's with the staircase's decisions.
+    At the default tolerance every such difference is the powers' misreading
+    of the planted index and core size, or a raise on an overflowing power."""
+    q, core_size, a = drawn
+    decided = staircase_index_and_rank(a, tol_rank)
+    try:
+        by_powers = branch_first_index_and_rank(a, tol_rank)
+    except NonFiniteError:
+        by_powers = None
+    if tol_rank == TOL_RANK and by_powers != decided:
+        assert by_powers != (q, core_size)
+    decide = POWERS if by_powers == decided else STAIRCASE
+    want = outcome(branch_first_drazin, a, tol_rank=tol_rank, scale=scale, decide=decide)
     assert outcome(drazin, a, tol_rank=tol_rank, scale=scale) == want
-    want = outcome(branch_first_group_inverse, a, tol_rank=tol_rank)
+    want = outcome(branch_first_group_inverse, a, tol_rank=tol_rank, decide=decide)
     assert outcome(group_inverse, a, tol_rank=tol_rank) == want
 
 
 class TestAgainstTheBranchFirstOrder:
-    """The index loop first gives the bytes, or the exception, of Cline's
+    """The staircase first gives the bytes, or the exception, of Cline's
     formula tried first with its own rank tests and the split's own loop."""
 
     @settings(max_examples=300, deadline=None)
@@ -814,8 +845,8 @@ class TestAgainstTheBranchFirstOrder:
         st.sampled_from([TOL_RANK, 0.5, 0.7]),
         st.one_of(st.none(), st.floats(-6.0, 6.0).map(lambda e: 10.0**e)),
     )
-    def test_bitwise_the_same(self, a, tol_rank, scale):
-        assert_same_outcomes(a, tol_rank, scale)
+    def test_bitwise_the_same(self, drawn, tol_rank, scale):
+        assert_same_outcomes(drawn, tol_rank, scale)
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -823,5 +854,36 @@ class TestAgainstTheBranchFirstOrder:
         st.sampled_from([TOL_RANK, 0.5, 0.7]),
         st.one_of(st.none(), st.floats(60.0, 170.0).map(lambda e: 10.0**e)),
     )
-    def test_bitwise_the_same_where_powers_overflow(self, a, tol_rank, scale):
-        assert_same_outcomes(a, tol_rank, scale)
+    def test_bitwise_the_same_where_powers_overflow(self, drawn, tol_rank, scale):
+        assert_same_outcomes(drawn, tol_rank, scale)
+
+
+class TestStaircase:
+    """The index and the core size read off the staircase: no power of A is
+    ranked against its own sigma_max, where rounding noise reads as rank."""
+
+    def test_haar_rotated_nilpotent(self):
+        j = np.zeros((4, 4), dtype=complex)
+        j[0, 1] = 1.0  # J_2 ⊕ 0 ⊕ 0
+        for seed in range(100):
+            u = haar_unitary(np.random.default_rng(seed), 4)
+            a = u @ j @ u.conj().T
+            assert index(a) == 2
+            assert core_nilpotent(a).core_size == 0
+            assert not drazin(a).any()
+
+    @settings(max_examples=300, deadline=None)
+    @given(reference_inputs())
+    def test_reads_the_planted_index_and_core_size(self, drawn):
+        q, core_size, a = drawn
+        assert index(a) == q
+        assert core_nilpotent(a).core_size == core_size
+
+    def test_one_reference_for_every_step(self):
+        # eigenvalues 1e-9 and 0, sigma_max(A) about 1: step 1's block is
+        # [1e-9], which counts as zero against tol_rank * sigma_max(A) at
+        # tol_rank 1e-8 but not at 1e-10.  Against its own sigma_max it, like
+        # A^2 = 1e-9 A, would count as rank one at either tolerance
+        a = np.array([[1e-9, 1.0], [0.0, 0.0]])
+        assert index(a, tol_rank=1e-8) == 2
+        assert index(a, tol_rank=1e-10) == 1

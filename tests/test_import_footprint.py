@@ -3,7 +3,7 @@ time of every command, so no scipy module rides along, and the CLI parser is
 built on the first ``main`` call, not at import.  scipy is loaded only by the
 core-nilpotent split of ``geninv`` (``core_nilpotent``, and a Drazin inverse
 of index two or more), so a process that solves, checks consistency, writes
-a CLI report, compares or diagonalizes never pays for it."""
+a CLI report, compares, diagonalizes or reads an index never pays for it."""
 
 import os
 import subprocess
@@ -101,6 +101,23 @@ for command in ("clyap", "dlyap"):
 print(all(code in (0, 3) for code in codes), len(codes))
 """ + LOADED
     assert run_fresh(code, str(tmp_path)) == ["True", "5", "False"]
+
+
+def test_index_and_index_two_group_inverse_load_no_scipy():
+    """The staircase reads the index from SVDs alone, and ``group_inverse``
+    rejects index two before any split."""
+    code = """
+import sys
+import numpy as np
+import lme
+from lme.instances import random_index2
+print(lme.index(random_index2(np.random.default_rng(0), 6)), lme.index(np.triu(np.ones((8, 8)), 1)))
+try:
+    lme.group_inverse(random_index2(np.random.default_rng(1), 6))
+except lme.IndexTooLargeError as exc:
+    print(type(exc).__name__)
+""" + LOADED
+    assert run_fresh(code) == ["2", "8", "IndexTooLargeError", "False"]
 
 
 def test_index_two_drazin_loads_scipy_linalg():
