@@ -31,7 +31,7 @@ SPIED = {
     (equations, "relevant_matrix"): {"tol_zero": "zero"},
     (geninv, "drazin"): {"tol_zero": "zero", "tol_rank": "rank"},
     (geninv, "matrix_rank"): {"tol_rank": "rank"},
-    (oracle, "oracle_solve"): {"tol_rank": "rank"},
+    (oracle, "_least_squares"): {"tol_rank": "rank"},
 }
 
 # each field moved by its own factor, none of them 1; cluster stays below
