@@ -307,11 +307,24 @@ def x_hat(spec: EquationSpec, tol: Tolerances = DEFAULT) -> np.ndarray:
     coefficient sum that vanishes up to rounding is treated as the zero
     matrix instead of being inverted.  Under the hypothesis the sum has
     index at most one, and ``geninv.drazin`` takes it as the group inverse
-    from the SVDs of the sum and, if singular, of its r×r G F; the Schur
-    split serves only sums of index two or more.
+    from the SVD of the sum and, if singular, of its r×r G F; the Schur
+    split serves only sums of index two or more.  ``consistency_evidence``
+    computes the same candidate from the same SVD.
     """
+    w, svd, scale, _ = _factored_sum(spec, tol)
+    return geninv.drazin(w, tol.zero, tol.rank, scale=scale, _svd=svd) @ spec.rhs
+
+
+def _factored_sum(spec: EquationSpec, tol: Tolerances):
+    """(W, its SVD (U, s, V^H), scale, r) for W = sum_j A_j B_j: the one
+    factorization of W that the Drazin candidate, rank(W) and the range test
+    read.  scale is the uncancelled sum_j ||A_j||_F ||B_j||_F, and r = rank(W)
+    counts the singular values above ``tol.rank`` times it, not times
+    sigma_max(W), which is rounding noise when the terms cancel."""
+    w = as_matrix(coefficient_sum(spec))  # an overflowing W raises NonFiniteError here, not in the SVD
     scale = float(sum(fro(a) * fro(b) for a, b in zip(spec.a_list, spec.b_list)))
-    return geninv.drazin(coefficient_sum(spec), tol.zero, tol.rank, scale=scale) @ spec.rhs
+    svd = np.linalg.svd(w)
+    return w, svd, scale, geninv._count_rank(svd[1], tol.rank, scale)
 
 
 def _freeze(*arrays: np.ndarray) -> None:
@@ -408,10 +421,11 @@ class ConsistencyEvidence:
 
     The five flags must agree for well-conditioned input; any disagreement is
     surfaced in ``diagnostics`` rather than resolved silently.  The two
-    residuals are those of the Drazin candidate (sum_j A_j B_j)^Drazin C,
-    computed apart from the eigenbasis that ``solve`` used.  The candidate
-    and the rank test each factor W = sum_j A_j B_j with an SVD of their
-    own: no factorization is shared between views.
+    residuals are those of the Drazin candidate (sum_j A_j B_j)^Drazin C.
+    Two independent factorizations stand behind the views: the joint
+    eigenbasis that ``solve`` used decides the diagonal rule, and one SVD
+    of W = sum_j A_j B_j gives the candidate, rank(W) and the range test
+    behind ``standard_consistent``.
     """
 
     consistent: bool
@@ -442,37 +456,29 @@ class ConsistencyEvidence:
         }
 
 
-def _column_space_consistent(w: np.ndarray, c: np.ndarray, tol_rank: float) -> bool:
-    """Rank test: is every column of C in the column space of W?"""
-    aug = np.hstack([w, c])
-    s_aug = np.linalg.svd(aug, compute_uv=False)
-    scale = s_aug[0] if s_aug.size else 0.0
-    if scale == 0.0:
-        return True
-    r_w = geninv.matrix_rank(w, tol_rank, scale=scale)
-    r_aug = int(np.count_nonzero(s_aug > tol_rank * scale))
-    return r_w == r_aug
-
-
 def consistency_evidence(spec: EquationSpec, result: AffineSolutionSet) -> ConsistencyEvidence:
     """All equivalent views of consistency for the result ``solve`` returned
     on ``spec``, evaluated independently at ``result.tolerances``: the
     diagonal rule on the relevant matrix, the residual of the Drazin
-    candidate ``x_hat`` in the equation itself, a rank test on the attached
-    standard equation, and the candidate's residual in the standard
-    equation.  The candidate's SVD of W and the rank test's SVDs of W and
-    [W C] are separate factorizations.  A diagnostic is added when the
-    Drazin candidate and ``result.x_hat`` (read off the eigenbasis) differ
-    by more than the ``res`` tolerance, relative, or by NaN."""
+    candidate ``x_hat`` in the equation itself, a range test on the attached
+    standard equation W X = C, and the candidate's residual in the standard
+    equation.  The last three read one SVD W = U S V^H: the candidate is
+    ``x_hat`` from it, and C is in range(W) when its part outside the first
+    r = rank(W) columns of U, ||U_(r:)^H C||_F = ||C - U_r U_r^H C||_F, is
+    at most ``tol.rank`` ||C||_F (so always for C = 0); rank(W) counts the
+    singular values above ``tol.rank`` sum_j ||A_j||_F ||B_j||_F.  A
+    diagnostic is added when the Drazin candidate and ``result.x_hat`` (read
+    off the eigenbasis) differ by more than the ``res`` tolerance, relative,
+    or by NaN."""
     tol = result.tolerances
-    xh = x_hat(spec, tol)
+    w, svd, scale, r = _factored_sum(spec, tol)
+    xh = geninv.drazin(w, tol.zero, tol.rank, scale=scale, _svd=svd) @ spec.rhs
     res_eq = equation_residual(spec, xh)
     bound = tol.res * max(1.0, fro(spec.rhs))
-    w = coefficient_sum(spec)
     res_std = fro(w @ xh - spec.rhs)
     ev_diag = result.consistent
     ev_eq = res_eq <= bound
-    ev_std_rank = _column_space_consistent(w, spec.rhs, tol.rank)
+    ev_std_rank = fro(svd[0][:, r:].conj().T @ spec.rhs) <= tol.rank * fro(spec.rhs)
     ev_std_res = res_std <= bound
     diagnostics: list[str] = []
     if not (ev_diag == ev_eq == ev_std_rank == ev_std_res):
@@ -608,12 +614,13 @@ def uniqueness_report(result: AffineSolutionSet, spec: EquationSpec, candidate=N
     and, when the coefficient sum is invertible and a candidate solution is
     supplied, check whether the candidate commutes with each parameter matrix
     (any solution other than the canonical one cannot commute with all).
-    Every test runs at ``result.tolerances``."""
+    Every test runs at ``result.tolerances``; the coefficient sum W counts
+    as invertible when rank(W) = n, with rank(W) read off its SVD as in
+    ``consistency_evidence``."""
     if not result.consistent:
         raise InconsistentInputError("uniqueness analysis needs a consistent result")
     tol = result.tolerances
-    w = coefficient_sum(spec)
-    invertible = geninv.matrix_rank(w, tol.rank) == spec.n
+    invertible = _factored_sum(spec, tol)[3] == spec.n
     unique = result.dimension == 0
     report_kwargs: dict = {}
     if candidate is not None:

@@ -182,15 +182,16 @@ def _inverse_of_split(z, core, _, k, r) -> np.ndarray:
     return z[:, :k] @ np.linalg.solve(core, z[:, :k].conj().T - r @ z[:, k:].conj().T)
 
 
-def _drazin(m: np.ndarray, tol_zero: float, tol_rank: float, scale: float | None, group: bool) -> np.ndarray:
+def _drazin(m: np.ndarray, tol_zero: float, tol_rank: float, scale: float | None, group: bool, svd=None) -> np.ndarray:
     """``drazin``, or with ``group`` ``group_inverse`` (which runs the
     staircase to its end and rejects index > 1 first), of a validated square
-    matrix.  A sigma_max at or below the zero threshold bounds every
-    eigenvalue modulus, so the inverse is zero.  Cline's formula needs no
-    dropped singular value above the threshold, index <= 1 and
-    |det(G F)|^{1/r}, a lower bound on the spectral radius, above it."""
+    matrix, from ``svd`` = ``np.linalg.svd(m)`` when given.  A sigma_max at
+    or below the zero threshold bounds every eigenvalue modulus, so the
+    inverse is zero.  Cline's formula needs no dropped singular value above
+    the threshold, index <= 1 and |det(G F)|^{1/r}, a lower bound on the
+    spectral radius, above it."""
     n = m.shape[0]
-    u, s, vh = np.linalg.svd(m)
+    u, s, vh = np.linalg.svd(m) if svd is None else svd
     ref = s[0] if n else 0.0
     # counted without _count_rank's check: an infinite ref is reported below,
     # by group_inverse's staircase or after drazin's zero-threshold reference
@@ -224,11 +225,14 @@ def drazin(
     tol_zero: float = TOL_ZERO,
     tol_rank: float = TOL_RANK,
     scale: float | None = None,
+    *,
+    _svd=None,
 ) -> np.ndarray:
     """Drazin inverse: Cline's formula from the staircase's first two steps
     at index <= 1, or else ``_split``, inverting only the k×k core; ``scale``
-    is as in ``core_nilpotent``."""
-    return _drazin(require_square(as_matrix(a)), tol_zero, tol_rank, scale, False)
+    is as in ``core_nilpotent``.  ``_svd`` is private: a caller that holds
+    ``np.linalg.svd`` of A already passes it, and step 0 reuses it."""
+    return _drazin(require_square(as_matrix(a)), tol_zero, tol_rank, scale, False, _svd)
 
 
 def group_inverse(a, tol_rank: float = TOL_RANK, tol_zero: float = TOL_ZERO) -> np.ndarray:

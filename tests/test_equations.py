@@ -6,7 +6,7 @@ from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 import lme
@@ -14,6 +14,7 @@ from lme.equations import (
     FactoredBasis,
     basis_residual_max,
     check_consistent,
+    consistency_evidence,
     equation_residual,
     equation_spec,
     lyapunov_gate,
@@ -51,7 +52,7 @@ from lme.instances import (
 )
 from lme.matcore import commutes, fro, is_normal
 from lme.oracle import compare, oracle_solve, vectorize
-from lme.tolerances import TOL_COMMUTE, TOL_RES, Tolerances
+from lme.tolerances import DEFAULT, TOL_COMMUTE, TOL_RES, Tolerances
 
 HOMOG_A = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 1]], dtype=complex)
 HOMOG_B = np.array([[1, -1, 0], [-1, 1, 0], [0, 0, 2]], dtype=complex)
@@ -584,6 +585,107 @@ class TestCheckConsistent:
             )
 
 
+def column_space_consistent(w, c, tol_rank=DEFAULT.rank):
+    """The range test the evidence ran before it shared one SVD of W, kept
+    as a reference: C is in range(W) when rank(W) = rank([W C]), both counted
+    against tol_rank sigma_max([W C])."""
+    s_aug = np.linalg.svd(np.hstack([w, c]), compute_uv=False)
+    if s_aug[0] == 0.0:
+        return True
+    threshold = tol_rank * s_aug[0]
+    s_w = np.linalg.svd(w, compute_uv=False)
+    return np.count_nonzero(s_w > threshold) == np.count_nonzero(s_aug > threshold)
+
+
+def between_the_rules(spec, tol_rank=DEFAULT.rank):
+    """Whether the evidence's range test and the reference may differ on
+    ``spec`` by their thresholds alone: a singular value of W between
+    tol_rank sigma_max([W C]) and tol_rank sum_j ||A_j||_F ||B_j||_F, or a
+    part of C outside the first rank(W) left singular vectors of W within a
+    factor 10 of its threshold tol_rank ||C||_F."""
+    w, c = lme.coefficient_sum(spec), spec.rhs
+    u, s, _ = np.linalg.svd(w)
+    scale = sum(fro(a) * fro(b) for a, b in zip(spec.a_list, spec.b_list))
+    lo, hi = sorted((tol_rank * np.linalg.norm(np.hstack([w, c]), 2), tol_rank * scale))
+    part = fro(u[:, np.count_nonzero(s > tol_rank * scale):].conj().T @ c)
+    threshold = tol_rank * fro(c)
+    return bool(np.any((s > lo) & (s <= hi))) or threshold / 10 < part < 10 * threshold
+
+
+class TestOneSvdOfW:
+    """The Drazin candidate, rank(W) and the range test of the evidence read
+    one SVD of W = sum_j A_j B_j."""
+
+    @pytest.mark.parametrize("e", range(16))
+    def test_small_coefficient_scale(self, e):
+        # rank(W) counted against sigma_max([W C]) ~ 3 read W = 1e-10 diag(1,
+        # 2, 3) as rank 0; against sum_j ||A_j|| ||B_j|| it is rank 3.  Below
+        # 1e-10 the Drazin candidate is 0 under the zero threshold's floor
+        # max(1, scale), and both residual views fail
+        s = 10.0**-e
+        spec = equation_spec([s * np.diag([1.0, 2.0, 3.0])], [I3], np.diag([1.0, 2.0, 3.0]))
+        _, ev = check_consistent(spec)
+        assert ev.standard_consistent
+        if s >= 1e-10:
+            assert ev.diagnostics == ()
+
+    @pytest.mark.parametrize("zero_rows, expected", [(0, [(8, 8)]), (2, [(8, 8), (6, 6)])])
+    def test_one_svd_of_w_and_one_of_its_step(self, monkeypatch, zero_rows, expected):
+        # the n×n W, and when it is singular the r×r G F of the staircase;
+        # no SVD of W alone for the rank nor of the n×2n [W C]
+        spec, _ = random_equation_instance(np.random.default_rng(60), 8, 2, zero_diag_rows=zero_rows)
+        result = solve(spec)
+        assert lme.geninv.matrix_rank(lme.coefficient_sum(spec)) == expected[-1][0]
+        shapes = []
+        original = np.linalg.svd
+
+        def spy(x, *args, **kwargs):
+            shapes.append(x.shape)
+            return original(x, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", spy)
+        ev = consistency_evidence(spec, result)
+        assert shapes == expected
+        assert ev.agree and ev.diagnostics == ()
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 8),
+        k=st.integers(1, 4),
+        zero_rows=st.integers(0, 3),
+        inconsistent=st.booleans(),
+        unitary=st.booleans(),
+        e=st.integers(-30, 30),
+    )
+    def test_range_test_agrees_with_the_reference(self, seed, n, k, zero_rows, inconsistent, unitary, e):
+        zero_rows = max(zero_rows, int(inconsistent))
+        spec, _ = random_equation_instance(
+            np.random.default_rng(seed), n, k, zero_rows, inconsistent, unitary
+        )
+        f = 2.0**e
+        spec = equation_spec([f * a for a in spec.a_list], spec.b_list, f * spec.rhs)
+        near = between_the_rules(spec)
+        if near:
+            event("a singular value or the out-of-range part near a threshold")
+        assume(not near)
+        ev = consistency_evidence(spec, solve(spec))
+        assert ev.standard_consistent == column_space_consistent(lme.coefficient_sum(spec), spec.rhs)
+
+    @pytest.mark.parametrize("delta, excluded", [(1e-7, 0), (1e-8, 0), (1e-9, 6)])
+    def test_range_test_agrees_near_a_cancelled_cell(self, delta, excluded):
+        # every draw left out already fires both diagnostics, by either rule
+        left_out = 0
+        for spec, _ in perturbed_instances(delta):
+            ev = consistency_evidence(spec, solve(spec))
+            if between_the_rules(spec):
+                left_out += 1
+                assert len(ev.diagnostics) == 2
+                continue
+            assert ev.standard_consistent == column_space_consistent(lme.coefficient_sum(spec), spec.rhs)
+        assert left_out == excluded
+
+
 def reachable_arrays(obj):
     """Every array reachable from a solve result through dataclass fields,
     tuples and the slots of a ``FactoredBasis``."""
@@ -926,6 +1028,18 @@ class TestUniqueness:
         spec = homogeneous_spec()
         with pytest.raises(DimensionMismatchError, match="^candidate has size 4, expected 3$"):
             uniqueness_report(solve(spec), spec, candidate=np.eye(4))
+
+    def test_a_cancelled_sum_is_not_invertible(self):
+        # W = A B - (1 + 1e-12) A B has singular values about 1e-12 of the
+        # uncancelled scale, which the rank rule of the evidence reads as 0;
+        # counted against sigma_max(W) itself they read as full rank
+        s = random_diagonalizer(np.random.default_rng(5), 4)
+        s_inv = np.linalg.inv(s)
+        a = s @ np.diag([1.0, 2.0, 3.0, 4.0]) @ s_inv
+        b = s @ np.diag([1.0, -1.0, 2.0, 0.5]) @ s_inv
+        spec = equation_spec([a, -a], [b, (1 + 1e-12) * b], np.zeros((4, 4)))
+        rep = uniqueness_report(solve(spec), spec)
+        assert (rep.dimension, rep.unique, rep.coefficient_sum_invertible) == (16, False, False)
 
     def test_displayed_noncommuting_family_member(self):
         # a member of the two-parameter solution family of the non-commuting

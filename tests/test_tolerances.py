@@ -30,7 +30,8 @@ SPIED = {
     (equations, "_normal_within"): {"tol": "commute"},
     (equations, "relevant_matrix"): {"tol_zero": "zero"},
     (geninv, "drazin"): {"tol_zero": "zero", "tol_rank": "rank"},
-    (geninv, "matrix_rank"): {"tol_rank": "rank"},
+    # rank(W) of the evidence's range test, counted on the SVD drazin shares
+    (geninv, "_count_rank"): {"tol_rank": "rank"},
     (oracle, "_least_squares"): {"tol_rank": "rank"},
 }
 
