@@ -40,7 +40,7 @@ from .errors import (
 )
 from .matcore import _normal_within, as_matrix, commutes, fro, is_normal, require_square
 from .simdiag import StarSequence, simultaneous_diagonalizer, validate_family
-from .tolerances import DEFAULT, TOL_ZERO, Tolerances
+from .tolerances import DEFAULT, TOL_ZERO, Tolerances, bound
 
 __all__ = [
     "EquationSpec",
@@ -321,8 +321,10 @@ def _factored_sum(spec: EquationSpec, tol: Tolerances):
     read.  scale is the uncancelled sum_j ||A_j||_F ||B_j||_F, and r = rank(W)
     counts the singular values above ``tol.rank`` times it, not times
     sigma_max(W), which is rounding noise when the terms cancel."""
-    w = as_matrix(coefficient_sum(spec))  # an overflowing W raises NonFiniteError here, not in the SVD
-    scale = float(sum(fro(a) * fro(b) for a, b in zip(spec.a_list, spec.b_list)))
+    # an overflowing W raises the NonFiniteError here, not numpy's warnings or the SVD
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = as_matrix(coefficient_sum(spec), "the coefficient sum W = sum_j A_j B_j")
+        scale = float(sum(fro(a) * fro(b) for a, b in zip(spec.a_list, spec.b_list)))
     svd = np.linalg.svd(w)
     return w, svd, scale, geninv._count_rank(svd[1], tol.rank, scale)
 
@@ -474,12 +476,12 @@ def consistency_evidence(spec: EquationSpec, result: AffineSolutionSet) -> Consi
     w, svd, scale, r = _factored_sum(spec, tol)
     xh = geninv.drazin(w, tol.zero, tol.rank, scale=scale, _svd=svd) @ spec.rhs
     res_eq = equation_residual(spec, xh)
-    bound = tol.res * max(1.0, fro(spec.rhs))
+    limit = bound(tol.res, fro(spec.rhs))
     res_std = fro(w @ xh - spec.rhs)
     ev_diag = result.consistent
-    ev_eq = res_eq <= bound
+    ev_eq = res_eq <= limit
     ev_std_rank = fro(svd[0][:, r:].conj().T @ spec.rhs) <= tol.rank * fro(spec.rhs)
-    ev_std_res = res_std <= bound
+    ev_std_res = res_std <= limit
     diagnostics: list[str] = []
     if not (ev_diag == ev_eq == ev_std_rank == ev_std_res):
         diagnostics.append(
@@ -489,7 +491,7 @@ def consistency_evidence(spec: EquationSpec, result: AffineSolutionSet) -> Consi
             "this indicates numerical conditioning trouble, not a verdict"
         )
     gap = fro(result.x_hat - xh)
-    if not gap <= tol.res * max(1.0, fro(xh)):
+    if not gap <= bound(tol.res, fro(xh)):
         diagnostics.append(
             f"the eigenbasis candidate differs from the Drazin candidate by {gap:.3e} "
             "(Frobenius norm); the joint eigenbasis may be ill-conditioned"
@@ -569,7 +571,7 @@ def lyapunov_gate(a, c, tol: Tolerances = DEFAULT):
             raise NonFiniteError("A has a Frobenius norm that overflows")
         if not is_normal(a, tol.commute):
             raise NotNormalError("A must be a normal matrix")
-        if fro(c - c.conj().T) > tol.commute * max(1.0, fro(c)):
+        if fro(c - c.conj().T) > bound(tol.commute, fro(c)):
             raise NotHermitianRhsError("C must be Hermitian")
     return a, c
 
@@ -628,9 +630,9 @@ def uniqueness_report(result: AffineSolutionSet, spec: EquationSpec, candidate=N
         if xc.shape[0] != spec.n:
             raise DimensionMismatchError(f"candidate has size {xc.shape[0]}, expected {spec.n}")
         res = equation_residual(spec, xc)
-        report_kwargs["candidate_is_solution"] = res <= tol.res * max(1.0, fro(spec.rhs))
+        report_kwargs["candidate_is_solution"] = res <= bound(tol.res, fro(spec.rhs))
         report_kwargs["candidate_equals_x_hat"] = (
-            fro(xc - result.x_hat) <= tol.res * max(1.0, fro(result.x_hat))
+            fro(xc - result.x_hat) <= bound(tol.res, fro(result.x_hat))
         )
         report_kwargs["candidate_commutation"] = tuple(
             commutes(xc, m, tol.commute) for m in (*spec.a_list, *spec.b_list)

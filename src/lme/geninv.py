@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import IndexTooLargeError, NonFiniteError
 from .matcore import as_matrix, fro, require_square
-from .tolerances import TOL_RANK, TOL_ZERO
+from .tolerances import TOL_RANK, TOL_ZERO, bound
 
 __all__ = [
     "CoreNilpotentDecomposition",
@@ -110,10 +110,10 @@ class CoreNilpotentDecomposition:
 
 
 def _zero_threshold(m: np.ndarray, tol_zero: float, scale: float | None) -> float:
-    """tol_zero times max(1, ref), where ref is ``scale`` or else ||A||_F."""
+    """``bound(tol_zero, ref)``, where ref is ``scale`` or else ||A||_F."""
     with np.errstate(over="ignore"):
         ref = _require_finite(fro(m) if scale is None else scale, "the zero-threshold reference")
-    return tol_zero * max(1.0, ref)
+    return bound(tol_zero, ref)
 
 
 def _split(m: np.ndarray, thresh: float, core_size):

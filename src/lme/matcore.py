@@ -20,7 +20,7 @@ from .errors import (
     NonSquareError,
     NotDiagonalizableError,
 )
-from .tolerances import TOL_CLUSTER, TOL_COMMUTE, TOL_RECON
+from .tolerances import TOL_CLUSTER, TOL_COMMUTE, TOL_RECON, bound
 
 __all__ = [
     "Permutation",
@@ -282,7 +282,7 @@ def _joint_eigenbasis(mats, tol_recon: float, tol_cluster: float, norms) -> Join
     """One eigenbasis for a family of square matrices of one size, from one
     ``eig``.
 
-    The generic combination sum_j mu_j M_j / max(1, ||M_j||_F), with the fixed
+    The generic combination sum_j mu_j M_j / bound(1, ||M_j||_F), with the fixed
     weights of ``_MIX_SEED``, has the joint eigenspaces of commuting
     diagonalizable members as its eigenspaces.  Its eigenvectors are grouped
     by its eigenvalue clusters at the ``tol_cluster`` gap, and each group is
@@ -291,7 +291,7 @@ def _joint_eigenbasis(mats, tol_recon: float, tol_cluster: float, norms) -> Join
     call would.  When that basis fails, the weights of ``_FALLBACK_SEED`` get
     one more ``eig``; if it fails too, this raises NotDiagonalizableError(i)
     for the first member i that S^{-1} M_i S leaves with off-diagonal mass
-    above ``tol_recon`` (relative to max(1, ||M_i||_F)), or
+    above bound(tol_recon, ||M_i||_F), or
     NotDiagonalizableError(0) when S is singular below the rcond floor.
 
     ``norms`` are the members' Frobenius norms, taken once by the caller;
@@ -316,9 +316,9 @@ def _mix_weights(seed: int, count: int) -> np.ndarray:
 def _eigenbasis_of_mix(mats, seed: int, tol_recon: float, tol_cluster: float, norms) -> JointEigenbasis:
     """``_joint_eigenbasis`` with the weights of one seed, from ``_mix_weights``."""
     mu = _mix_weights(seed, len(mats))
-    mix = sum(w / max(1.0, norm) * m for w, norm, m in zip(mu, norms, mats))
+    mix = sum(w / bound(1.0, norm) * m for w, norm, m in zip(mu, norms, mats))
     w, v = np.linalg.eig(mix)
-    groups = cluster_values(w, tol_cluster * max(1.0, fro(mix)))
+    groups = cluster_values(w, bound(tol_cluster, fro(mix)))
     # the groups side by side, as an hstack of their factors would place them
     s = np.empty(v.shape, dtype=v.dtype)
     starts = np.cumsum([0, *map(len, groups)])
@@ -339,7 +339,7 @@ def _eigenbasis_of_mix(mats, seed: int, tol_recon: float, tol_cluster: float, no
         diagonals.append(np.diag(d).copy())
         np.fill_diagonal(d, 0)
         off_mass = fro(d)
-        if off_mass > tol_recon * max(1.0, norm):
+        if off_mass > bound(tol_recon, norm):
             raise NotDiagonalizableError(i, f"off-diagonal mass {off_mass:.3e} in the eigenbasis")
         masses.append(off_mass)
     return JointEigenbasis(s, s_inv, tuple(diagonals), cond, tuple(masses))
@@ -377,7 +377,8 @@ def eig_decompose(m, tol: float = TOL_RECON, tol_cluster: float = TOL_CLUSTER) -
 
 
 def commutes(a, b, tol: float = TOL_COMMUTE) -> bool:
-    """True iff ||AB - BA||_F <= tol * max(1, ||A||_F ||B||_F)."""
+    """True iff ||AB - BA||_F <= bound(tol, ||A||_F ||B||_F): tol times the
+    norm product floored at 1, by ``tolerances.bound``."""
     a = require_square(as_matrix(a, "A"), "A")
     b = require_square(as_matrix(b, "B"), "B")
     if a.shape != b.shape:
@@ -387,16 +388,13 @@ def commutes(a, b, tol: float = TOL_COMMUTE) -> bool:
 
 def _commutes_within(a: np.ndarray, b: np.ndarray, tol: float, norm_a: float, norm_b: float) -> bool:
     """``commutes`` on validated square matrices of one shape, with their
-    Frobenius norms given.  tol * max(1, x) is max(tol, tol * x) bit for
-    bit, since rounding is monotone, so a residual within ``tol`` is
-    accepted before the norm product is formed."""
-    resid = fro(a @ b - b @ a)
-    return resid <= tol or resid <= tol * (norm_a * norm_b)
+    Frobenius norms given."""
+    return fro(a @ b - b @ a) <= bound(tol, norm_a * norm_b)
 
 
 def is_normal(m, tol: float = TOL_COMMUTE) -> bool:
     """True iff M commutes with M* within ``tol``: the test of ``commutes``,
-    ||M M* - M* M||_F <= tol * max(1, ||M||_F ||M*||_F), where
+    ||M M* - M* M||_F <= bound(tol, ||M||_F ||M*||_F), where
     ||M*||_F = ||M||_F, taken as ``_normal_within`` takes it."""
     a = require_square(as_matrix(m))
     return _normal_within(a, tol, fro(a))

@@ -21,7 +21,7 @@ import numpy as np
 from .equations import AffineSolutionSet, EquationSpec
 from .errors import OracleMismatchError
 from .matcore import fro
-from .tolerances import TOL_RANK
+from .tolerances import TOL_RANK, bound
 
 __all__ = [
     "VectorizedSystem",
@@ -186,18 +186,18 @@ def compare(
         failures.append(
             f"dimension differs: structured={result.dimension}, oracle={dimension}"
         )
-    op_scale = max(1.0, fro(op))
+    op_scale = bound(1.0, fro(op))
     residuals = np.linalg.norm(images[:, 2:], axis=0)
     basis_residuals = []
     for i, (res, size) in enumerate(zip(residuals, np.linalg.norm(members, axis=1))):
-        rel = float(res) / (op_scale * max(1.0, float(size)))
+        rel = float(res) / (op_scale * bound(1.0, float(size)))
         basis_residuals.append(rel)
         if not rel <= tol:
             failures.append(f"basis matrix {i} leaves the nullspace (residual {rel:.3e})")
     xh_res = None
     if result.consistent:
         raw = float(np.linalg.norm(images[:, 1] - rhs))
-        xh_res = raw / max(1.0, float(np.linalg.norm(rhs)))
+        xh_res = raw / bound(1.0, float(np.linalg.norm(rhs)))
         if not xh_res <= tol:
             failures.append(f"candidate solution violates the system (residual {xh_res:.3e})")
     if failures:

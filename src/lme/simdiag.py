@@ -49,7 +49,7 @@ from .matcore import (
     fro,
     require_square,
 )
-from .tolerances import DEFAULT, TOL_CLUSTER, Tolerances
+from .tolerances import DEFAULT, TOL_CLUSTER, Tolerances, bound
 
 # Machine epsilon, twice the unit roundoff: the unit of the rounding slack
 # in the commutator bound.
@@ -152,7 +152,7 @@ def validate_family(members, tol: Tolerances = DEFAULT, names=None) -> Commuting
     a pair whose commutator it bounds well below ``tol.commute`` (see
     ``_uncertified_pairs``) is accepted without forming the commutator, and
     every other pair takes the exact test, ||AB - BA||_F against
-    ``tol.commute * max(1, ||A||_F ||B||_F)``, in pair order.  So the
+    ``bound(tol.commute, ||A||_F ||B||_F)``, in pair order.  So the
     verdict, the first failing pair and the error are those of the exact
     test on every pair.  When the joint eigensolve fails, every pair takes
     the exact test before the failure is diagnosed."""
@@ -215,8 +215,7 @@ def _check_pairs(mats, norms, pairs, tol_commute: float, label, names) -> None:
                 resid = fro(mats[i] @ mats[j] - mats[j] @ mats[i])
                 if not math.isfinite(resid):
                     raise NonFiniteError(f"the commutator of {label[i]} and {label[j]} overflows")
-                denom = max(1.0, norms[i] * norms[j])
-                raise NotCommutingError(i, j, resid / denom, names and (label[i], label[j]))
+                raise NotCommutingError(i, j, resid / bound(1.0, norms[i] * norms[j]), names and (label[i], label[j]))
 
 
 def _uncertified_pairs(basis: JointEigenbasis, norms, tol_commute: float) -> list[tuple[int, int]]:
@@ -234,7 +233,7 @@ def _uncertified_pairs(basis: JointEigenbasis, norms, tol_commute: float) -> lis
     rounding in the exact test's own residual, at most about
     n eps ||M_i||_F ||M_j||_F, (n + 2) eps ||M_i||_F ||M_j||_F is added.
     A pair is certified when this bound is ``_CERTIFY_MARGIN`` times below
-    tol * max(1, ||M_i||_F ||M_j||_F), and never when ||M_i||_F ||M_j||_F
+    bound(tol, ||M_i||_F ||M_j||_F), and never when ||M_i||_F ||M_j||_F
     exceeds ``_BOUND_NORM_LIMIT``."""
     n = basis.diagonalizer.shape[0]
     kappa = basis.condition_bound
@@ -244,9 +243,9 @@ def _uncertified_pairs(basis: JointEigenbasis, norms, tol_commute: float) -> lis
     pairs = []
     for i, j in combinations(range(len(norms)), 2):
         scale = norms[i] * norms[j]
-        bound = 2.0 * kappa * (radii[i] * offs[j] + radii[j] * offs[i] + offs[i] * offs[j])
-        bound += (n + 2) * _EPS * scale
-        if not (scale <= _BOUND_NORM_LIMIT and _CERTIFY_MARGIN * bound <= tol_commute * max(1.0, scale)):
+        upper = 2.0 * kappa * (radii[i] * offs[j] + radii[j] * offs[i] + offs[i] * offs[j])
+        upper += (n + 2) * _EPS * scale
+        if not (scale <= _BOUND_NORM_LIMIT and _CERTIFY_MARGIN * upper <= bound(tol_commute, scale)):
             pairs.append((i, j))
     return pairs
 
@@ -269,7 +268,7 @@ def simultaneous_diagonalizer(family: CommutingFamily) -> StarSequence:
     ranks = np.empty((len(family), n), dtype=int)
     vectors = np.empty((len(family), n), dtype=complex)
     for j, (norm, d) in enumerate(zip(family.norms, basis.diagonals)):
-        groups, means = _clusters(d, family.tol.cluster * max(1.0, norm))
+        groups, means = _clusters(d, bound(family.tol.cluster, norm))
         rank = [0] * n
         for r, group in enumerate(groups):
             for i in group:
@@ -312,7 +311,7 @@ def induced_vectors(family: CommutingFamily, s) -> list[np.ndarray]:
         except np.linalg.LinAlgError:  # a singular S diagonalizes no member
             raise NotADiagonalizerError(i, math.inf) from None
         off_mass = fro(d - np.diag(np.diag(d)))
-        if off_mass > family.tol.commute * max(1.0, norm):
+        if off_mass > bound(family.tol.commute, norm):
             raise NotADiagonalizerError(i, off_mass)
         out.append(np.diag(d).copy())
     return out
@@ -340,9 +339,9 @@ def match_induced_sequences(seq1, seq2, tol: float = TOL_CLUSTER) -> Permutation
             raise DimensionMismatchError("all vectors must share one length")
     if n == 0:
         raise DimensionMismatchError("vectors have length 0, expected at least 1")
-    scale = max(1.0, max(float(np.max(np.abs(v))) for v in a + b))
+    gap = bound(tol, max(float(np.max(np.abs(v))) for v in a + b))
     dist = np.abs(np.array(b)[:, :, None] - np.array(a)[:, None, :]).max(axis=0)
-    cols, best = _greedy_match(dist, tol * scale, np.ones(n, dtype=bool))
+    cols, best = _greedy_match(dist, gap, np.ones(n, dtype=bool))
     if -1 in cols:
         i = cols.index(-1)
         raise NoMatchingPermutationError(
@@ -400,7 +399,7 @@ def induced_pair_without_diagonalizer(a, b, tol: Tolerances = DEFAULT):
 
     A collision value is a shift at which a pair of another block lands on
     an eigenvalue of B.  eig(B) is clustered once at the gap
-    ``tol.cluster * max(1, ||B||_F)``, with b_p the mean of cluster p, and
+    ``bound(tol.cluster, ||B||_F)``, with b_p the mean of cluster p, and
     the values are (lam_s b_p - lam_r b_q) / (lam_r - lam_s) over the block
     values lam_r, lam_s of A with r < s and the clusters p != q; swapping
     (r, p) with (s, q) gives the same float.  Two eigenvalues in one
@@ -422,7 +421,7 @@ def _induced_pair(family: CommutingFamily, star: StarSequence):
     avec = star.vectors[0]
     blocks = star.levels[0]
     norm_a, norm_b = family.norms
-    gap = tol.cluster * max(1.0, norm_b)
+    gap = bound(tol.cluster, norm_b)
     b_eigs = np.linalg.eigvals(bmat)
     b_groups, b_reps = _clusters(b_eigs, gap)
 
@@ -440,7 +439,7 @@ def _induced_pair(family: CommutingFamily, star: StarSequence):
     beta = 1.0 + max((abs(z) for z in collision_set), default=0.0)
 
     # the scalar abs, as in canonical_sort_indices: np.abs can differ in the last bit
-    zero_tol = tol.zero * max(1.0, norm_a)
+    zero_tol = bound(tol.zero, norm_a)
     zero = [abs(v) <= zero_tol for v in lam]
     if sum(zero) > 1:
         raise IntersectionAmbiguousError("multiple zero eigenvalue blocks")

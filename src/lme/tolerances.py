@@ -1,7 +1,12 @@
 """Numerical tolerances shared across the package.
 
 All thresholds are relative to a per-call scale unless a docstring says
-otherwise.  One frozen ``Tolerances`` value holds all six.  The entry points
+otherwise.  Most are floored at unit scale: a tolerance ``tol`` against a
+reference ``ref`` becomes the threshold tol * max(1, ref), and a scale that
+divides a residual is max(1, ref).  ``bound`` is that rule, and the only
+code that spells it.
+
+One frozen ``Tolerances`` value holds all six tolerances.  The entry points
 take it as ``tol``: ``solve``, ``check_consistent``, ``x_hat``, the named-form
 solvers, ``lyapunov_gate`` and ``named_form_pair_count`` in ``equations``,
 and ``validate_family``, ``star_vector_of``, ``commutant`` and
@@ -50,3 +55,16 @@ class Tolerances:
 
 
 DEFAULT = Tolerances()
+
+
+def bound(tol: float, ref: float) -> float:
+    """tol * max(1, ref): the threshold of ``tol`` at reference scale ``ref``,
+    floored at unit scale; ``bound(1.0, ref)`` is the floored scale itself.
+
+    Written max(tol, tol * ref), which for tol >= 0 is tol * max(1, ref) bit
+    for bit: rounding is monotone, so tol * ref rounds to at least tol when
+    ref >= 1 and to at most tol when ref <= 1, and a NaN ``ref`` gives
+    ``tol`` either way.  The one exception is tol = 0 with ref = inf, where
+    this gives 0 and not 0 * inf = NaN: an exact zero residual still passes
+    a zero tolerance when the reference overflows."""
+    return max(tol, tol * ref)

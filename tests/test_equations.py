@@ -364,6 +364,15 @@ class TestDegenerateAndOverflowingEquations:
         with pytest.raises(NonFiniteError, match="X̂"):
             solve(spec)
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_coefficient_sum_is_named(self):
+        # W = (1e200 I)(1e200 I) overflows: the error names W, and numpy
+        # reports no overflow of its own, neither in the products nor in
+        # the scale sum_j ||A_j||_F ||B_j||_F
+        spec = equation_spec([1e200 * I2], [1e200 * I2], I2)
+        with pytest.raises(NonFiniteError, match="^the coefficient sum W = sum_j A_j B_j contains non-finite entries$"):
+            x_hat(spec)
+
     @pytest.mark.filterwarnings("error:overflow encountered")
     @pytest.mark.parametrize("solver", [solve_continuous_lyapunov, solve_discrete_lyapunov])
     def test_overflowing_lyapunov_gate_is_not_a_broken_hypothesis(self, solver):
