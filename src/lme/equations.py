@@ -101,19 +101,17 @@ class EquationSpec:
     )
 
     def __post_init__(self):
-        a = [require_square(as_matrix(m, f"A[{i}]"), f"A[{i}]") for i, m in enumerate(self.a_list)]
-        b = [require_square(as_matrix(m, f"B[{i}]"), f"B[{i}]") for i, m in enumerate(self.b_list)]
-        c = require_square(as_matrix(self.rhs, "C"), "C")
+        a, b = list(self.a_list), list(self.b_list)
         if len(a) != len(b):
             raise DimensionMismatchError(f"{len(a)} left factors but {len(b)} right factors")
         if not a:
             raise DimensionMismatchError("the equation needs at least one term")
+        c = require_square(self.rhs, "C")
         n = c.shape[0]
         if n == 0:
             raise DimensionMismatchError("C has size 0, expected at least 1")
-        for i, m in enumerate((*a, *b)):
-            if m.shape[0] != n:
-                raise DimensionMismatchError(f"term matrix {i} has size {m.shape[0]}, expected {n}")
+        a = [require_square(m, f"A[{i}]", n) for i, m in enumerate(a)]
+        b = [require_square(m, f"B[{i}]", n) for i, m in enumerate(b)]
         object.__setattr__(self, "a_list", tuple(map(_read_only, a)))
         object.__setattr__(self, "b_list", tuple(map(_read_only, b)))
         object.__setattr__(self, "rhs", _read_only(c))
@@ -148,7 +146,7 @@ def equation_spec(a_list, b_list, rhs) -> EquationSpec:
 
 def equation_residual(spec: EquationSpec, x) -> float:
     """Frobenius norm of sum_j A_j X B_j - C."""
-    xm = as_matrix(x, "X")
+    xm = require_square(x, "X", spec.n)
     acc = -spec.rhs.astype(complex)
     for a, b in zip(spec.a_list, spec.b_list):
         acc = acc + a @ xm @ b
@@ -162,7 +160,7 @@ def coefficient_sum(spec: EquationSpec) -> np.ndarray:
 
 def standard_residual(spec: EquationSpec, x) -> float:
     """Frobenius norm of (sum_j A_j B_j) X - C."""
-    return fro(coefficient_sum(spec) @ as_matrix(x, "X") - spec.rhs)
+    return fro(coefficient_sum(spec) @ require_square(x, "X", spec.n) - spec.rhs)
 
 
 def standard_spec(spec: EquationSpec) -> EquationSpec:
@@ -529,13 +527,13 @@ def named_form_spec(kind: str, a, c, b=None) -> EquationSpec:
     Only the Lyapunov forms take no B; sylvester and stein without one raise
     ``DimensionMismatchError``.  No hypothesis is checked here;
     ``lyapunov_gate`` checks the Lyapunov preconditions."""
-    a = require_square(as_matrix(a, "A"), "A")
+    a = require_square(a, "A")
     if kind in ("clyap", "dlyap"):
         a, b = a.conj().T, a
     elif kind in ("sylvester", "stein"):
         if b is None:
             raise DimensionMismatchError(f"{kind} needs B")
-        b = require_square(as_matrix(b, "B"), "B")
+        b = require_square(b, "B", a.shape[0])
     else:
         raise ValueError(f"unknown named form {kind!r}")
     eye = np.eye(a.shape[0])
@@ -561,10 +559,8 @@ def lyapunov_gate(a, c, tol: Tolerances = DEFAULT):
     return both as validated square matrices.  When the Frobenius norm of A
     overflows, this raises NonFiniteError naming A before normality is
     decided."""
-    a = require_square(as_matrix(a, "A"), "A")
-    c = require_square(as_matrix(c, "C"), "C")
-    if a.shape != c.shape:
-        raise DimensionMismatchError(f"shapes differ: {a.shape} vs {c.shape}")
+    a = require_square(a, "A")
+    c = require_square(c, "C", a.shape[0])
     # an overflow is an input error, not a matrix that fails to be normal
     with np.errstate(over="ignore", invalid="ignore"):
         if not math.isfinite(fro(a)):
@@ -626,9 +622,7 @@ def uniqueness_report(result: AffineSolutionSet, spec: EquationSpec, candidate=N
     unique = result.dimension == 0
     report_kwargs: dict = {}
     if candidate is not None:
-        xc = require_square(as_matrix(candidate, "candidate"), "candidate")
-        if xc.shape[0] != spec.n:
-            raise DimensionMismatchError(f"candidate has size {xc.shape[0]}, expected {spec.n}")
+        xc = require_square(candidate, "candidate", spec.n)
         res = equation_residual(spec, xc)
         report_kwargs["candidate_is_solution"] = res <= bound(tol.res, fro(spec.rhs))
         report_kwargs["candidate_equals_x_hat"] = (
@@ -649,8 +643,8 @@ def uniqueness_report(result: AffineSolutionSet, spec: EquationSpec, candidate=N
 def named_form_pair_count(kind: str, a, b=None, tol: Tolerances = DEFAULT) -> int:
     """Eigenvalue-pair cardinality behind the named-form dimension formulas:
     the zero count of the relevant matrix of ``named_form_spec``, built from
-    each term matrix's own eigenvalues.  Each term has one non-scalar factor,
-    so no commutation hypothesis is needed.  sylvester counts a_r + b_s = 0,
+    the own eigenvalues of each A_j and B_j.  Each term has one non-scalar
+    factor, so no commutation hypothesis is needed.  sylvester counts a_r + b_s = 0,
     stein counts a_r b_s = 1, clyap counts conj(a_r) + a_s = 0 and dlyap
     counts conj(a_r) a_s = 1."""
     spec = named_form_spec(kind, a, np.zeros(np.shape(a)), b)

@@ -54,11 +54,11 @@ def moore_penrose(a, tol_rank: float = TOL_RANK) -> np.ndarray:
     return vh[:r].conj().T @ ((u[:, :r].conj().T) / s[:r, None])
 
 
-def matrix_rank(a, tol_rank: float = TOL_RANK, scale: float | None = None) -> int:
-    """Numerical rank: singular values above tol_rank * scale, where scale
-    defaults to the largest singular value of ``a`` itself."""
+def matrix_rank(a, tol_rank: float = TOL_RANK) -> int:
+    """Numerical rank: singular values above tol_rank times the largest
+    singular value of ``a``."""
     m = as_matrix(a)
-    return _count_rank(np.linalg.svd(m, compute_uv=False), tol_rank, scale) if m.size else 0
+    return _count_rank(np.linalg.svd(m, compute_uv=False), tol_rank) if m.size else 0
 
 
 def _count_rank(s: np.ndarray, tol_rank: float, scale: float | None = None) -> int:
@@ -77,7 +77,7 @@ def _require_finite(value: float, what: str) -> float:
 
 def index(a, tol_rank: float = TOL_RANK) -> int:
     """Least q >= 0 with rank(A^{q+1}) = rank(A^q), read off the staircase."""
-    return _staircase(require_square(as_matrix(a)), 0, tol_rank)[1]
+    return _staircase(require_square(a), 0, tol_rank)[1]
 
 
 def _staircase(m: np.ndarray, q: int, tol_rank: float, ref: float | None = None, stop: int | None = None):
@@ -167,7 +167,7 @@ def core_nilpotent(
     uncancelled inputs, so a noise-level matrix is split as all-nilpotent
     rather than inverted.  An overflowing Frobenius norm or a ``scale`` that
     is not finite raises ``NonFiniteError``."""
-    m = require_square(as_matrix(a))
+    m = require_square(a)
     thresh = _zero_threshold(m, tol_zero, scale)
     z, core, nil, k, r = _split(m, thresh, lambda: len(_staircase(m, 0, tol_rank)[0]))
     if r.any():
@@ -232,11 +232,11 @@ def drazin(
     at index <= 1, or else ``_split``, inverting only the k×k core; ``scale``
     is as in ``core_nilpotent``.  ``_svd`` is private: a caller that holds
     ``np.linalg.svd`` of A already passes it, and step 0 reuses it."""
-    return _drazin(require_square(as_matrix(a)), tol_zero, tol_rank, scale, False, _svd)
+    return _drazin(require_square(a), tol_zero, tol_rank, scale, False, _svd)
 
 
 def group_inverse(a, tol_rank: float = TOL_RANK, tol_zero: float = TOL_ZERO) -> np.ndarray:
     """Drazin inverse restricted to matrices of index at most one: as
     ``drazin``, but the staircase runs to its end first and index > 1
     raises ``IndexTooLargeError``, even for an A below the zero threshold."""
-    return _drazin(require_square(as_matrix(a)), tol_zero, tol_rank, None, True)
+    return _drazin(require_square(a), tol_zero, tol_rank, None, True)

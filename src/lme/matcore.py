@@ -77,9 +77,17 @@ def as_matrix(value, name: str = "matrix") -> np.ndarray:
     return a
 
 
-def require_square(a: np.ndarray, name: str = "matrix") -> np.ndarray:
+def require_square(value, name: str = "matrix", n: int | None = None) -> np.ndarray:
+    """``as_matrix(value, name)``, checked to be square and, when ``n`` is
+    given, of size n.  This is the one check of a square input in ``lme``,
+    and its two messages are the one wording of a shape error:
+    NonSquareError("<name> must be square, got shape (p, q)") and
+    DimensionMismatchError("<name> has size m, expected n")."""
+    a = as_matrix(value, name)
     if a.shape[0] != a.shape[1]:
         raise NonSquareError(f"{name} must be square, got shape {a.shape}")
+    if n is not None and a.shape[0] != n:
+        raise DimensionMismatchError(f"{name} has size {a.shape[0]}, expected {n}")
     return a
 
 
@@ -367,7 +375,7 @@ def eig_decompose(m, tol: float = TOL_RECON, tol_cluster: float = TOL_CLUSTER) -
     then the diagonal of S^{-1} M S.  Otherwise LAPACK's raw eigenvectors and
     eigenvalues are returned for inspection.
     """
-    a = require_square(as_matrix(m))
+    a = require_square(m)
     try:
         basis = _joint_eigenbasis([a], tol, tol_cluster, [fro(a)])
     except NotDiagonalizableError:
@@ -378,12 +386,16 @@ def eig_decompose(m, tol: float = TOL_RECON, tol_cluster: float = TOL_CLUSTER) -
 
 def commutes(a, b, tol: float = TOL_COMMUTE) -> bool:
     """True iff ||AB - BA||_F <= bound(tol, ||A||_F ||B||_F): tol times the
-    norm product floored at 1, by ``tolerances.bound``."""
-    a = require_square(as_matrix(a, "A"), "A")
-    b = require_square(as_matrix(b, "B"), "B")
-    if a.shape != b.shape:
-        raise DimensionMismatchError(f"shapes differ: {a.shape} vs {b.shape}")
-    return _commutes_within(a, b, tol, fro(a), fro(b))
+    norm product floored at 1, by ``tolerances.bound``.  When that
+    threshold overflows, no residual can fail it, so this raises
+    NonFiniteError naming A and B instead."""
+    a = require_square(a, "A")
+    b = require_square(b, "B", a.shape[0])
+    with np.errstate(over="ignore"):
+        norm_a, norm_b = fro(a), fro(b)
+    if math.isinf(bound(tol, norm_a * norm_b)):
+        raise NonFiniteError("the Frobenius norm product of A and B overflows")
+    return _commutes_within(a, b, tol, norm_a, norm_b)
 
 
 def _commutes_within(a: np.ndarray, b: np.ndarray, tol: float, norm_a: float, norm_b: float) -> bool:
@@ -396,7 +408,7 @@ def is_normal(m, tol: float = TOL_COMMUTE) -> bool:
     """True iff M commutes with M* within ``tol``: the test of ``commutes``,
     ||M M* - M* M||_F <= bound(tol, ||M||_F ||M*||_F), where
     ||M*||_F = ||M||_F, taken as ``_normal_within`` takes it."""
-    a = require_square(as_matrix(m))
+    a = require_square(m)
     return _normal_within(a, tol, fro(a))
 
 
@@ -436,7 +448,7 @@ def permute_vector(m, sigma: Permutation) -> np.ndarray:
 
 def direct_sum(blocks) -> np.ndarray:
     """Block-diagonal assembly of square blocks."""
-    blocks = [require_square(as_matrix(b, f"block {i}"), f"block {i}") for i, b in enumerate(blocks)]
+    blocks = [require_square(b, f"block {i}") for i, b in enumerate(blocks)]
     if not blocks:
         raise EmptyListError("direct_sum needs at least one block")
     n = sum(b.shape[0] for b in blocks)

@@ -44,7 +44,6 @@ from .matcore import (
     _commutes_within,
     _condition_bound,
     _joint_eigenbasis,
-    as_matrix,
     canonical_sort_indices,
     fro,
     require_square,
@@ -158,15 +157,13 @@ def validate_family(members, tol: Tolerances = DEFAULT, names=None) -> Commuting
     the exact test before the failure is diagnosed."""
     members = list(members)
     label = list(names) if names else [f"member {i}" for i in range(len(members))]
-    mats = [require_square(as_matrix(m, label[i]), label[i]) for i, m in enumerate(members)]
-    if not mats:
+    if not members:
         raise EmptyListError("family must contain at least one matrix")
+    mats = [require_square(members[0], label[0])]
     n = mats[0].shape[0]
     if n == 0:
         raise DimensionMismatchError(f"{label[0]} has size 0, expected at least 1")
-    for i, m in enumerate(mats):
-        if m.shape[0] != n:
-            raise DimensionMismatchError(f"{label[i]} has size {m.shape[0]}, expected {n}")
+    mats += [require_square(m, label[i], n) for i, m in enumerate(members[1:], 1)]
     # an overflow here is reported by the NonFiniteError below, not by numpy
     with np.errstate(over="ignore", invalid="ignore"):
         norms = [fro(m) for m in mats]
@@ -301,9 +298,7 @@ def induced_vectors(family: CommutingFamily, s) -> list[np.ndarray]:
     """Diagonals of S^{-1} M S for each member, after checking that S really
     diagonalizes every member at the family's commutation tolerance, relative
     to the member norms the family keeps."""
-    smat = require_square(as_matrix(s, "S"), "S")
-    if smat.shape[0] != family.size:
-        raise DimensionMismatchError("diagonalizer size does not match family")
+    smat = require_square(s, "S", family.size)
     out = []
     for i, (m, norm) in enumerate(zip(family.members, family.norms)):
         try:

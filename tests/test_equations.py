@@ -763,7 +763,7 @@ class TestMemo:
         a, b = spec.a_list[0], spec.b_list[0]
         with pytest.raises(DimensionMismatchError, match="^2 left factors but 1 right factors$"):
             lme.EquationSpec((a, a), (b,), spec.rhs)
-        with pytest.raises(DimensionMismatchError, match="^term matrix 0 has size 3, expected 2$"):
+        with pytest.raises(DimensionMismatchError, match=r"^A\[0\] has size 3, expected 2$"):
             replace(spec, rhs=np.eye(2))
         with pytest.raises(NonSquareError, match="^C must be square"):
             replace(spec, rhs=np.ones((3, 2)))
@@ -1131,7 +1131,7 @@ def test_standard_spec_shape():
         (lambda: relevant_matrix([np.ones(2)], [], np.ones(2)), DimensionMismatchError, "^need matching, non-empty"),
         (lambda: relevant_matrix([], [], np.ones(2)), DimensionMismatchError, "^need matching, non-empty"),
         (lambda: named_form_spec("foo", I2, I2), ValueError, "^unknown named form 'foo'$"),
-        (lambda: lyapunov_gate(I2, I3), DimensionMismatchError, r"^shapes differ: \(2, 2\) vs \(3, 3\)$"),
+        (lambda: lyapunov_gate(I2, I3), DimensionMismatchError, "^C has size 3, expected 2$"),
         (lambda: lme.solve_sylvester(I2, None, I2), DimensionMismatchError, "^sylvester needs B$"),
         (lambda: lme.solve_stein(I2, None, I2), DimensionMismatchError, "^stein needs B$"),
         (lambda: lme.named_form_pair_count("sylvester", I2), DimensionMismatchError, "^sylvester needs B$"),
@@ -1150,3 +1150,12 @@ def test_standard_spec_shape():
 def test_rejections(call, error, message):
     with pytest.raises(error, match=message):
         call()
+
+
+@pytest.mark.parametrize("residual", [equation_residual, lme.equations.standard_residual])
+def test_residuals_check_x_against_the_spec(residual):
+    spec = equation_spec([I2], [I2], I2)
+    with pytest.raises(DimensionMismatchError, match="^X has size 3, expected 2$"):
+        residual(spec, I3)
+    with pytest.raises(NonSquareError, match=r"^X must be square, got shape \(2, 3\)$"):
+        residual(spec, np.ones((2, 3)))

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -102,6 +104,19 @@ class TestPredicates:
     def test_commutes_shape_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             commutes(np.eye(2), np.eye(3))
+
+    def test_commutes_names_the_member_of_the_wrong_size(self):
+        with pytest.raises(DimensionMismatchError, match="^B has size 3, expected 2$"):
+            commutes(np.eye(2), np.eye(3))
+
+    def test_commutes_rejects_an_overflowing_norm_product(self):
+        # ||A||_F overflows, so bound(tol, ||A||_F ||B||_F) is infinite and
+        # would pass ||AB - BA||_F = 1e160; no numpy warning escapes
+        a, b = np.diag([1e160, 0.0]), np.array([[0, 1.0], [0, 0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteError, match="^the Frobenius norm product of A and B overflows$"):
+                commutes(a, b)
 
     def test_hermitian_is_normal(self):
         assert is_normal(np.array([[1, -1], [-1, 1]], dtype=complex))

@@ -100,6 +100,21 @@ class TestValidateFamily:
         with pytest.raises(RefinementFailureError):
             validate_family([np.diag([1.0, 2.0]), b], tol=Tolerances(commute=1e-2))
 
+    def test_ill_conditioned_eigenvector_matrix_meets_the_rcond_floor(self):
+        # eigenvalues 1e-15 apart, held apart by a zero cluster gap: the two
+        # eigenvectors are nearly parallel, and S fails the rcond floor
+        # before any off-diagonal mass is measured
+        m = np.array([[1, 1], [0, 1 + 1e-15]])
+        with pytest.raises(NotDiagonalizableError) as exc:
+            validate_family([m], Tolerances(cluster=0.0))
+        assert str(exc.value) == (
+            "member 0 is not diagonalizable: its eigenvector matrix has condition 1.821e+15"
+        )
+        # grouped at the default gap, the pair shares one orthonormal basis,
+        # which the recon gate rejects instead
+        with pytest.raises(NotDiagonalizableError, match="off-diagonal mass"):
+            validate_family([m])
+
     def test_singular_joint_eigenvector_matrix_names_no_member(self, monkeypatch):
         # an eigenvector-matrix failure carries index 0 by convention; the
         # message gives its reason and no member
@@ -1200,7 +1215,7 @@ class TestFamilyNorms:
         (
             lambda: induced_vectors(validate_family([HOMOG_A]), np.eye(2)),
             DimensionMismatchError,
-            "^diagonalizer size does not match family$",
+            "^S has size 2, expected 3$",
         ),
         (
             lambda: match_induced_sequences([[1, 2]], [[1, 2], [2, 1]]),
