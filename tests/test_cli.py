@@ -1,6 +1,8 @@
 import argparse
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -27,6 +29,7 @@ HOMOG_B = np.array([[1, -1, 0], [-1, 1, 0], [0, 0, 2]], dtype=complex)
 JORDAN = np.array([[1, 1], [0, 1]], dtype=complex)
 STEIN2_A = np.array([[1, 1], [1, -1]], dtype=complex)
 STEIN2_C = np.array([[0, 1], [-1, 0]], dtype=complex)
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 @pytest.fixture
@@ -691,6 +694,23 @@ class TestOverflowingInputs:
         ])
         assert code == EXIT_ERROR
         assert capsys.readouterr().err == "error: A has a Frobenius norm that overflows\n"
+
+    def test_verify_with_an_overflowing_operator(self, files):
+        # solve accepts 2 A X B = I, but L's corner 2e308 overflows; LAPACK
+        # never returns on it, so the command runs in a child process
+        write, _ = files
+        a, b = write("a.json", np.diag([1e154, 1])), write("b.json", np.diag([1e154, 2]))
+        argv = ["verify", "--a", a, "--a", a, "--b", b, "--b", b, "--c", write("c.json", np.eye(2))]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+        out = subprocess.run(
+            [sys.executable, "-m", "lme.cli", *argv],
+            env=env, capture_output=True, text=True, timeout=30,
+        )
+        assert out.returncode == EXIT_ERROR
+        assert out.stdout == ""
+        errors = [line for line in out.stderr.splitlines() if line.startswith("error:")]
+        assert errors == ["error: the Kronecker operator L = sum_j B_j^T kron A_j contains non-finite entries"]
 
     def test_diagonalize_with_an_overflowing_norm(self, files, capsys):
         write, _ = files

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -7,9 +10,9 @@ from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from lme.equations import equation_spec, named_form_spec, solve, solve_sylvester, standard_spec
-from lme.errors import OracleMismatchError
+from lme.errors import NonFiniteError, OracleMismatchError
 from lme.instances import random_diagonalizer, random_equation_instance
-from lme.oracle import compare, oracle_solve, vectorize
+from lme.oracle import _least_squares, compare, oracle_solve, vectorize
 from lme.tolerances import DEFAULT, Tolerances
 
 HOMOG_A = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 1]], dtype=complex)
@@ -17,6 +20,7 @@ HOMOG_B = np.array([[1, -1, 0], [-1, 1, 0], [0, 0, 2]], dtype=complex)
 JORDAN = np.array([[1, 1], [0, 1]], dtype=complex)
 I2 = np.eye(2)
 I3 = np.eye(3)
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 class TestVectorize:
@@ -56,6 +60,57 @@ class TestVectorize:
             )
         for spec in specs:
             assert vectorize(spec).operator.tobytes() == kron_operator(spec).tobytes()
+
+
+# 2 A X B = I with the entries 1e154 of A and B: L's corner 2e308 overflows
+OVERFLOW_A = np.diag([1e154, 1.0])
+OVERFLOW_B = np.diag([1e154, 2.0])
+
+# a hand-built system with an infinite entry, on which gelsd and the SVD of
+# LAPACK never return; run in a child process so that a hang fails the test
+NON_FINITE_SYSTEM = """
+import sys
+import numpy as np
+import lme
+from lme.errors import NonFiniteError
+from lme.oracle import VectorizedSystem, compare, oracle_solve
+
+spec = lme.equation_spec([np.eye(2)], [np.eye(2)], np.eye(2))
+op = np.diag([np.inf, 2e154, 2e154, 4]).astype(complex)
+system = VectorizedSystem(op, spec.rhs.flatten(order="F"), 2, np.inf)
+try:
+    if sys.argv[1] == "compare":
+        compare(lme.solve(spec), system)
+    else:
+        oracle_solve(system)
+except NonFiniteError as exc:
+    print(exc)
+"""
+
+
+class TestNonFiniteOperator:
+    def test_vectorize_names_an_overflowing_operator(self):
+        # warnings are errors here: numpy's "overflow encountered in add" fails the test
+        spec = equation_spec([OVERFLOW_A, OVERFLOW_A], [OVERFLOW_B, OVERFLOW_B], I2)
+        with pytest.raises(NonFiniteError, match=r"^the Kronecker operator L = sum_j B_j\^T kron A_j contains non-finite entries$"):
+            vectorize(spec)
+
+    def test_vectorize_names_an_overflowing_scale(self):
+        # every entry of L is 1, but ||A||_F overflows
+        spec = equation_spec([np.full((2, 2), 1e160)], [np.full((2, 2), 1e-160)], I2)
+        with pytest.raises(NonFiniteError, match=r"has a scale sum_j \|\|A_j\|\|_F \|\|B_j\|\|_F that is not finite$"):
+            vectorize(spec)
+
+    @pytest.mark.parametrize("entry", ["compare", "oracle_solve"])
+    def test_non_finite_system_raises_before_lapack(self, entry):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+        out = subprocess.run(
+            [sys.executable, "-c", NON_FINITE_SYSTEM, entry],
+            env=env, capture_output=True, text=True, timeout=30,
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout == "the Kronecker operator L = sum_j B_j^T kron A_j contains non-finite entries\n"
 
 
 def kron_operator(spec):
@@ -215,13 +270,14 @@ def count_calls(monkeypatch, *names):
 
 def oracle_verdict(system, tol_rank=DEFAULT.rank):
     """compare's (consistent, dimension), read against a stand-in result
-    that claims oracle_solve's verdict and carries no basis: compare raises
-    exactly when its own verdict differs."""
+    that claims oracle_solve's verdict and carries no basis and no witness:
+    compare raises exactly when its own verdict differs, and decides it by
+    gelsd unless C = 0 or the rank is 0."""
     sol = oracle_solve(system, tol_rank)
     probe = SimpleNamespace(
         consistent=sol.consistent, dimension=sol.dimension, basis=(),
         x_hat=np.zeros((system.n, system.n), dtype=complex),
-        tolerances=Tolerances(rank=tol_rank),
+        witness_r=None, star=None, tolerances=Tolerances(rank=tol_rank),
     )
     report = compare(probe, system, tol=np.inf)
     return (report.consistent, report.dimension), (sol.consistent, sol.dimension)
@@ -237,12 +293,12 @@ def near_the_threshold(system, tol_rank=DEFAULT.rank):
 
 
 class TestLeastSquaresVerdict:
-    def test_one_least_squares_solve_and_no_svd(self, monkeypatch):
+    def test_one_values_only_svd_and_no_least_squares(self, monkeypatch):
         spec, _ = random_equation_instance(np.random.default_rng(9), 5, 2, zero_diag_rows=1)
         result, system = solve(spec), vectorize(spec)
         counts = count_calls(monkeypatch, "lstsq", "svd")
         report = compare(result, system)
-        assert counts == {"lstsq": 1, "svd": 0}
+        assert counts == {"lstsq": 0, "svd": 1}
         assert (report.consistent, report.dimension) == (result.consistent, result.dimension)
 
     def test_cancelling_terms_take_a_second_solve(self, monkeypatch):
@@ -257,8 +313,10 @@ class TestLeastSquaresVerdict:
         spec = equation_spec([a, -a], [b, (1 + 1e-6) * b], np.zeros((3, 3)))
         result, system = solve(spec), vectorize(spec)
         counts = count_calls(monkeypatch, "lstsq")
-        report = compare(result, system)
+        _least_squares(system, DEFAULT.rank)
         assert counts == {"lstsq": 2}
+        # with C = 0, X̂ = 0 certifies consistency and compare needs no gelsd
+        report = compare(result, system)
         sol = oracle_solve(system)
         assert (report.consistent, report.dimension) == (sol.consistent, sol.dimension) == (True, 3)
 
@@ -312,3 +370,67 @@ class TestLeastSquaresVerdict:
             assert not near_the_threshold(system)
             got, want = oracle_verdict(system)
             assert got == want
+
+
+def tampered(kind):
+    """(tampered result, its system, the untampered result): X̂ moved by
+    noise of 1e-3 ||X̂|| on a consistent spec, or, on an inconsistent one,
+    the witness moved to a row whose gamma cell is not zero, or the star
+    sequence of another spec of the same size."""
+    spec, _ = random_equation_instance(np.random.default_rng(3), 5, 2, zero_diag_rows=1)
+    other, _ = random_equation_instance(np.random.default_rng(103), 5, 2, 2, inconsistent=True)
+    consistent, inconsistent = solve(spec), solve(other)
+    if kind == "x_hat":
+        noise = np.random.default_rng(0).standard_normal((5, 5))
+        noise *= 1e-3 * np.linalg.norm(consistent.x_hat) / np.linalg.norm(noise)
+        return replace(consistent, x_hat=consistent.x_hat + noise), vectorize(spec), consistent
+    if kind == "witness":
+        row = int(np.flatnonzero(~np.diag(inconsistent.relevant.zero_mask))[0])
+        return replace(inconsistent, witness_r=row), vectorize(other), inconsistent
+    return replace(inconsistent, star=consistent.star), vectorize(other), inconsistent
+
+
+class TestCertificates:
+    @pytest.mark.parametrize("kind", ["x_hat", "witness", "star"])
+    def test_a_tampered_certificate_takes_one_least_squares_solve(self, monkeypatch, kind):
+        result, system, honest = tampered(kind)
+        counts = count_calls(monkeypatch, "lstsq")
+        assert compare(honest, system).consistent is honest.consistent
+        assert counts == {"lstsq": 0}
+        # tol=inf: the tampered X̂ fails no residual check, only the verdict is read
+        report = compare(result, system, tol=np.inf)
+        assert counts == {"lstsq": 1}
+        sol = oracle_solve(system)
+        assert (report.consistent, report.dimension) == (honest.consistent, honest.dimension)
+        assert (report.consistent, report.dimension) == (sol.consistent, sol.dimension)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 8),
+        k=st.integers(1, 4),
+        zero_rows=st.integers(0, 3),
+        inconsistent=st.booleans(),
+        unitary=st.booleans(),
+        e=st.integers(-40, 40),
+    )
+    def test_verdict_on_solves_certificates_is_oracle_solves(
+        self, seed, n, k, zero_rows, inconsistent, unitary, e
+    ):
+        zero_rows = max(zero_rows, int(inconsistent))
+        spec, _ = random_equation_instance(
+            np.random.default_rng(seed), n, k, zero_rows, inconsistent, unitary
+        )
+        f = 2.0**e
+        spec = equation_spec([f * a for a in spec.a_list], spec.b_list, f * spec.rhs)
+        system = vectorize(spec)
+        near = near_the_threshold(system)
+        if near:
+            event("a singular value within 1e-6 of the threshold")
+        assume(not near)
+        sol = oracle_solve(system)
+        # solve's certificates under oracle_solve's verdict: compare raises
+        # exactly when its own verdict differs (solve's may, at small scale)
+        claim = replace(solve(spec), consistent=sol.consistent, dimension=sol.dimension)
+        report = compare(claim, system, tol=np.inf)
+        assert (report.consistent, report.dimension) == (sol.consistent, sol.dimension)

@@ -32,7 +32,7 @@ SPIED = {
     (geninv, "drazin"): {"tol_zero": "zero", "tol_rank": "rank"},
     # rank(W) of the evidence's range test, counted on the SVD drazin shares
     (geninv, "_count_rank"): {"tol_rank": "rank"},
-    (oracle, "_least_squares"): {"tol_rank": "rank"},
+    (oracle, "_rank"): {"tol_rank": "rank"},
 }
 
 # each field moved by its own factor, none of them 1; cluster stays below
